@@ -15,14 +15,28 @@ import pandas as pd
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 
+def driver_memory() -> str:
+    """Half of MemTotal in GiB, clamped to 2..8 g (the tier-1 rule)."""
+    try:
+        with open("/proc/meminfo") as f:
+            for line in f:
+                if line.startswith("MemTotal:"):
+                    g = int(line.split()[1]) // 2097152
+                    return f"{min(max(g, 2), 8)}g"
+    except (OSError, ValueError, IndexError):
+        pass
+    return "2g"
+
+
 def get_spark(app: str):
     # spark.driver.memory is read at JVM launch, so it must be in
     # PYSPARK_SUBMIT_ARGS before pyspark is imported (the job-scale data
     # sets OOM the 1g default heap otherwise).
+    mem = os.environ.get("SPARK_DRIVER_MEM") or driver_memory()
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
         f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-        f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '24g')} "
+        f"--driver-memory {mem} "
         "--conf spark.driver.host=127.0.0.1 "
         "--conf spark.ui.enabled=false pyspark-shell",
     )

@@ -6,18 +6,9 @@ for the ModelarDB-v1 baseline).  User-defined model types register via
 :func:`repro.core.model_types.register` without changing the system.
 """
 from .fallback import GorillaModel, RawFallback
-from .model_types import (MID_FALLBACK, MID_GORILLA, MID_PMC_MEAN,
-                          MID_PMC_MR, MID_SWING, register)
+from .model_types import register
 from .pmc_mean import PMCMean, PMCMidrange
 from .swing import Swing
-
-MODEL_NAMES = {
-    MID_PMC_MEAN: "PMC-Mean",
-    MID_SWING: "Swing",
-    MID_GORILLA: "Gorilla",
-    MID_FALLBACK: "Raw",
-    MID_PMC_MR: "PMC-MR",
-}
 
 for _mt in (PMCMean(), Swing(), GorillaModel(), RawFallback(), PMCMidrange()):
     register(_mt)

@@ -15,7 +15,7 @@ toolchain); ``applyInPandas`` preserves the execution structure
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pandas as pd
@@ -62,6 +62,21 @@ def pivot_group(pdf: pd.DataFrame, tids: Sequence[int], si: int
     return ts, V
 
 
+def compress_points(pdf: pd.DataFrame, gid: int, group: dict,
+                    eps_pct: float, **options) -> List[Segment]:
+    """Pivot, scale and compress the points of one group (GOLEMM).
+
+    ``group`` is the group's entry of :func:`_group_info`; ``options``
+    go to :func:`compress_group`.  Both ``pivot_group`` and
+    ``compress_group`` are looked up when this runs, so a caller may
+    replace them on this module.
+    """
+    ts, V = pivot_group(pdf, group["tids"], group["si"])
+    V = V / group["scalings"][None, :].astype(np.float32)
+    return compress_group(ts, V, eps_pct, gid=gid, si=group["si"],
+                          **options)
+
+
 def make_compressor(meta: pd.DataFrame, eps_pct: float,
                     model_types=DEFAULT_MODEL_TYPES,
                     length_bound: int = DEFAULT_LENGTH_BOUND,
@@ -72,19 +87,16 @@ def make_compressor(meta: pd.DataFrame, eps_pct: float,
 
     def compress(pdf: pd.DataFrame) -> pd.DataFrame:
         gid = int(pdf["gid"].iloc[0])
-        g = info[gid]
-        ts, V = pivot_group(pdf, g["tids"], g["si"])
-        V = V / g["scalings"][None, :].astype(np.float32)
-        segs = compress_group(ts, V, eps_pct, gid=gid, si=g["si"],
-                              model_types=model_types,
-                              length_bound=length_bound,
-                              split_fraction=split_fraction,
-                              dynamic_split=dynamic_split)
+        segs = compress_points(pdf, gid, info[gid], eps_pct,
+                               model_types=model_types,
+                               length_bound=length_bound,
+                               split_fraction=split_fraction,
+                               dynamic_split=dynamic_split)
         return pd.DataFrame({
             "gid": np.int32(gid),
             "start_time": [s.start_time for s in segs],
             "end_time": [s.end_time for s in segs],
-            "si": np.int32(g["si"]),
+            "si": np.int32(info[gid]["si"]),
             "size": [s.size for s in segs],
             "mid": [s.mid for s in segs],
             "gaps": np.array([s.gaps for s in segs], dtype=np.int64),
@@ -125,12 +137,9 @@ def ingest_local(points: pd.DataFrame, meta: pd.DataFrame, eps_pct: float,
     out: list[Segment] = []
     for gid, pdf in points.groupby(points["tid"].map(
             meta.set_index("tid")["gid"])):
-        g = info[int(gid)]
-        ts, V = pivot_group(pdf, g["tids"], g["si"])
-        V = V / g["scalings"][None, :].astype(np.float32)
-        out.extend(compress_group(ts, V, eps_pct, gid=int(gid), si=g["si"],
-                                  model_types=model_types,
-                                  length_bound=length_bound,
-                                  split_fraction=split_fraction,
-                                  dynamic_split=dynamic_split, stats=stats))
+        out.extend(compress_points(pdf, int(gid), info[int(gid)], eps_pct,
+                                   model_types=model_types,
+                                   length_bound=length_bound,
+                                   split_fraction=split_fraction,
+                                   dynamic_split=dynamic_split, stats=stats))
     return out

@@ -2,9 +2,11 @@
 
 A *model type* knows how to fit a model to a prefix of a buffered time
 series group within a per-value error bound, how to serialise the model's
-parameters to a compact blob, how to reconstruct the represented values,
-and (for lossy types) how to compute aggregates directly from the model
-in constant time.
+parameters to a compact blob, and how to reconstruct the represented
+values.  Aggregates over runs of a segment's points come from
+:meth:`ModelType.partials`, which decodes through ``reconstruct``; the
+constant and linear types override it with closed forms that take
+constant time per run (paper §VI).
 
 All fitting operates on a *group value matrix* ``V`` of shape
 ``(n_timestamps, n_series)`` containing the scaled values of the group's
@@ -19,7 +21,7 @@ added with :func:`register` without touching the rest of the system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -49,8 +51,29 @@ class FitResult:
         return len(self.params) if self.params is not None else 0
 
 
+class Columns(NamedTuple):
+    """A batch of segment columns, one array entry per column.
+
+    Entry ``i`` is column ``col[i]`` of the value matrix of a segment
+    with model ``mid[i]`` and parameters ``params[i]``, which stores
+    ``n_series[i]`` series at the ``size[i]`` timestamps
+    ``start[i] + si[i] * j``.  Its values in the query domain are the
+    model's values times ``scaling[i]``.
+    """
+
+    mid: np.ndarray
+    params: np.ndarray
+    start: np.ndarray
+    si: np.ndarray
+    size: np.ndarray
+    n_series: np.ndarray
+    col: np.ndarray
+    scaling: np.ndarray
+
+
 class ModelType:
-    """Base class; concrete types override the four operations."""
+    """Base class; a concrete type overrides ``fit`` and ``reconstruct``,
+    and may override ``partials`` with a closed form."""
 
     mid: int = -1
     name: str = "abstract"
@@ -65,14 +88,37 @@ class ModelType:
         """Return the (len(ts), n_series) matrix of represented values."""
         raise NotImplementedError
 
-    def aggregates(self, params: bytes, ts: np.ndarray, n_series: int
-                   ) -> Optional[Tuple[float, float, float, float]]:
-        """(count, sum, min, max) over ALL series/timestamps in constant
-        time, or ``None`` when the type requires decompression (then the
-        query layer falls back to :meth:`reconstruct`).  Values are in
-        the *scaled* (model) domain; per-series scaling is applied by
-        the query layer."""
-        return None
+    def column(self, cols: Columns, i: int) -> np.ndarray:
+        """Model-domain values of column ``i`` of ``cols`` (float32)."""
+        ts = cols.start[i] + cols.si[i] * np.arange(cols.size[i],
+                                                    dtype=np.int64)
+        V = self.reconstruct(cols.params[i], ts, int(cols.n_series[i]))
+        return V[:, cols.col[i]]
+
+    def partials(self, cols: Columns, row: np.ndarray, first: np.ndarray,
+                 count: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sum, min and max of the query-domain values of a batch of pieces.
+
+        Piece ``k`` is the points ``[first[k], first[k] + count[k])`` of
+        column ``row[k]`` of ``cols``, a column of this model type, with
+        ``count[k] >= 1``.  This default decodes each column once with
+        :meth:`reconstruct`, so a type needs only ``fit`` and
+        ``reconstruct`` to be queried.
+        """
+        rows, inv = np.unique(row, return_inverse=True)
+        vals = [self.column(cols, i).astype(np.float64) * cols.scaling[i]
+                for i in rows]
+        begin = np.cumsum([0] + [len(v) for v in vals])[inv] + first
+        end = begin + count
+        # A trailing value keeps a piece's end a valid reduceat index.
+        flat = np.concatenate(vals + [np.zeros(1)])
+        bounds = np.stack([begin, end], axis=1).ravel()
+        # np.add.reduceat adds in another order than ndarray.sum; summing
+        # piece by piece keeps a whole column's sum that of its values.
+        sums = np.array([flat[a:b].sum() for a, b in zip(begin, end)])
+        return (sums, np.minimum.reduceat(flat, bounds)[::2],
+                np.maximum.reduceat(flat, bounds)[::2])
 
 
 _REGISTRY: Dict[int, ModelType] = {}
@@ -89,6 +135,11 @@ def by_mid(mid: int) -> ModelType:
 
 def registered_mids() -> Tuple[int, ...]:
     return tuple(sorted(_REGISTRY))
+
+
+def registry() -> Dict[int, ModelType]:
+    """A copy of the registry, Mid → model type, to ship to workers."""
+    return dict(_REGISTRY)
 
 
 def first_false(valid: np.ndarray) -> int:

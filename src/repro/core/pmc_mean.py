@@ -62,10 +62,10 @@ class PMCMean(ModelType):
         (c,) = struct.unpack("<f", params)
         return np.full((len(ts), n_series), c, dtype=np.float32)
 
-    def aggregates(self, params, ts, n_series):
-        (c,) = struct.unpack("<f", params)
-        cnt = len(ts) * n_series
-        return (cnt, c * cnt, c, c)
+    def partials(self, cols, row, first, count):
+        v = (np.frombuffer(b"".join(cols.params[row]), dtype="<f4")
+             * cols.scaling[row])
+        return v * count, v, v
 
 
 class PMCMidrange(PMCMean):

@@ -69,11 +69,17 @@ class Swing(ModelType):
             vals = v_s + slope * (ts - ts[0]).astype(np.float64)
         return np.repeat(vals.astype(np.float32)[:, None], n_series, axis=1)
 
-    def aggregates(self, params, ts, n_series):
-        v_s, v_e = struct.unpack("<ff", params)
-        n_t = len(ts)
-        cnt = n_t * n_series
-        # Values are linear in time, so the sum is the arithmetic-series
-        # mean of the endpoint values — constant time (paper §VI-A).
-        total = (v_s + v_e) / 2.0 * cnt
-        return (cnt, total, min(v_s, v_e), max(v_s, v_e))
+    def partials(self, cols, row, first, count):
+        ends = np.frombuffer(b"".join(cols.params[row]), dtype="<f4"
+                             ).reshape(-1, 2).astype(np.float64)
+        span = np.maximum(cols.size[row] - 1, 1)
+        scaling = cols.scaling[row]
+
+        def value(i):
+            f = i / span  # exactly 0 and 1 at the segment's ends
+            return (ends[:, 0] * (1.0 - f) + ends[:, 1] * f) * scaling
+
+        # Values are linear in time, so a run's end values give its sum
+        # (an arithmetic series), min and max in constant time (§VI-A).
+        a, b = value(first), value(first + count - 1)
+        return (a + b) / 2.0 * count, np.minimum(a, b), np.maximum(a, b)

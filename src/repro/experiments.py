@@ -29,9 +29,9 @@ from pyspark.sql import functions as F
 
 from .baselines import cassandra_sim, formats, influx_sim
 from .baselines.mdb import MDB_MODEL_TYPES, ingest_mdb, mdb_meta
-from .core import MODEL_NAMES
 from .core.golemm import RAW_BITS_PER_POINT, CompressStats, reconstruct_segment
 from .core.ingest import ingest_local
+from .core.model_types import by_mid
 from .core.segment import Segment
 from .datasets import TSDataset, ef_like, ep_like, hd_like
 from .dims.grouping import (group_summary, group_time_series,
@@ -161,7 +161,7 @@ def compression_table(ds: TSDataset, eps_list: Sequence[float] = EPS_SWEEP,
             for mid, cnt in sorted(st.model_counts.items()):
                 usage_rows.append({
                     "system": name, "eps_pct": eps,
-                    "model": MODEL_NAMES[mid], "segments": cnt,
+                    "model": by_mid(mid).name, "segments": cnt,
                     "share": cnt / max(st.segments, 1)})
             overhead = (st.split_merge_seconds / st.total_seconds * 100
                         if st.total_seconds else 0.0)

@@ -1,13 +1,15 @@
 """Simple aggregates executed on models (paper §VI-B, Fig. 11).
 
 The paper exposes UDAFs (``COUNT_S``, ``MIN_S``, ``MAX_S``, ``SUM_S``,
-``AVG_S``) over the Segment View.  Its Initialize → Iterate → Finalize
-structure maps onto Catalyst as:
+``AVG_S``) over the Segment View.  Their Initialize → Iterate → Finalize
+steps map onto Catalyst as:
 
 * *Initialize*: the ``modelardb`` scan with Gid/time push-down;
-* *Iterate*: a vectorised ``mapInPandas`` step computing per-(segment,
-  Tid) partials — **constant time** per PMC/Swing segment, decode for
-  lossless segments only;
+* *Iterate*: one vectorised ``mapInPandas`` step, shared with the
+  ``CUBE_*`` roll-ups of ``time_agg.py``, that cuts each Segment View row
+  into pieces and computes their partials with the row's model type
+  (``decode.py``) — **constant time** per PMC/Swing piece, decode for
+  other types only;
 * *Finalize*: an ordinary ``groupBy().agg()`` combining the partials
   (all five aggregates are distributive/algebraic).
 
@@ -16,77 +18,58 @@ the paper's core query-performance claim.
 """
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
-from .decode import series_partials
-
-_ROW_COLS = ["tid", "start_time", "end_time", "si", "size", "mid", "params",
-             "gaps", "bitpos", "scaling", "group_size"]
-
-PARTIAL_FIELDS = "cnt long, total double, lo double, hi double"
+from ..core.model_types import registry
+from .decode import VIEW_COLS, cut, partials, view_columns
 
 
-def segment_partials(view: DataFrame,
-                     group_cols: Sequence[str] = ("tid",)) -> DataFrame:
-    """Per-(segment, Tid) aggregate partials with pass-through grouping
-    columns (Tid and/or denormalised dimension members)."""
+def segment_partials(view: DataFrame, group_cols: Sequence[str] = ("tid",),
+                     interval: Optional[str] = None) -> DataFrame:
+    """Partials (cnt, total, lo, hi) per piece of each Segment View row,
+    with its ``bucket_start`` and the pass-through grouping columns (Tid
+    and/or denormalised dimension members).
+
+    Without ``interval`` a row is one piece (``bucket_start`` 0); with
+    one, a row gives a piece per interval it has points in.
+    """
     passthrough = [c for c in group_cols if c != "tid"]
-    cols = _ROW_COLS + passthrough
     schema_extra = "".join(f", {c} string" for c in passthrough)
-    out_schema = f"tid int, {PARTIAL_FIELDS}" + schema_extra
+    out_schema = ("tid int, bucket_start long, cnt long, total double, "
+                  "lo double, hi double" + schema_extra)
+    # Read on the driver, so that model types registered there are
+    # queryable in the Python workers too (§III-A).
+    types = registry()
 
     def compute(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        from ..core.model_types import MID_SWING
-        from .decode import CONSTANT_MIDS
-
         for pdf in batches:
-            n = len(pdf)
-            cnt = pdf["size"].to_numpy(np.int64)
-            total = np.empty(n, dtype=np.float64)
-            lo = np.empty(n, dtype=np.float64)
-            hi = np.empty(n, dtype=np.float64)
-            mids = pdf["mid"].to_numpy()
-            scal = pdf["scaling"].to_numpy(np.float64)
-            params = pdf["params"].to_numpy(object)
-            # Vectorised constant-time paths: constant and linear models
-            # are the vast majority of segments (Table I's code-generated
-            # projections in the paper play the same role).
-            is_c = np.isin(mids, CONSTANT_MIDS)
-            if is_c.any():
-                c = np.frombuffer(b"".join(params[is_c]),
-                                  dtype="<f4").astype(np.float64)
-                v = c * scal[is_c]
-                total[is_c] = v * cnt[is_c]
-                lo[is_c] = v
-                hi[is_c] = v
-            is_s = mids == MID_SWING
-            if is_s.any():
-                ends = np.frombuffer(b"".join(params[is_s]),
-                                     dtype="<f4").reshape(-1, 2)
-                vs = ends[:, 0] * scal[is_s]
-                ve = ends[:, 1] * scal[is_s]
-                total[is_s] = (vs + ve) / 2.0 * cnt[is_s]
-                lo[is_s] = np.minimum(vs, ve)
-                hi[is_s] = np.maximum(vs, ve)
-            # Lossless models: decode per row (only when queried).
-            for i in np.flatnonzero(~(is_c | is_s)):
-                row = pdf.iloc[i]
-                cnt[i], total[i], lo[i], hi[i] = series_partials(
-                    row["mid"], row["params"], row["start_time"],
-                    row["end_time"], row["si"], row["size"], row["gaps"],
-                    row["bitpos"], row["group_size"], row["scaling"])
-            out = {"tid": pdf["tid"].astype("int32"), "cnt": cnt,
-                   "total": total, "lo": lo, "hi": hi}
+            cols = view_columns(pdf)
+            row, first, count, bucket = cut(cols, interval)
+            total, lo, hi = partials(cols, types, row, first, count)
+            out = {"tid": pdf["tid"].to_numpy(np.int32)[row],
+                   "bucket_start": bucket, "cnt": count, "total": total,
+                   "lo": lo, "hi": hi}
             for c in passthrough:
-                out[c] = pdf[c].astype(str)
+                out[c] = pdf[c].astype(str).to_numpy()[row]
             yield pd.DataFrame(out)
 
-    return view.select(*cols).mapInPandas(compute, out_schema)
+    return view.select(*VIEW_COLS, *passthrough).mapInPandas(compute,
+                                                            out_schema)
+
+
+def agg_exprs(aggs: Sequence[str]) -> List[Column]:
+    """The requested ``*_S`` aggregates over partials, in a fixed order."""
+    exprs = {"count": F.sum("cnt").alias("count_s"),
+             "sum": F.sum("total").alias("sum_s"),
+             "avg": (F.sum("total") / F.sum("cnt")).alias("avg_s"),
+             "min": F.min("lo").alias("min_s"),
+             "max": F.max("hi").alias("max_s")}
+    return [e for name, e in exprs.items() if name in aggs]
 
 
 def simple_agg(view: DataFrame, group_cols: Sequence[str] = ("tid",),
@@ -99,18 +82,5 @@ def simple_agg(view: DataFrame, group_cols: Sequence[str] = ("tid",),
     GROUP BY on the denormalised columns (§VI-A).  Pass ``()`` for a
     data-set-wide aggregate.
     """
-    partials = segment_partials(view, group_cols)
-    exprs = []
-    if "count" in aggs:
-        exprs.append(F.sum("cnt").alias("count_s"))
-    if "sum" in aggs:
-        exprs.append(F.sum("total").alias("sum_s"))
-    if "avg" in aggs:
-        exprs.append((F.sum("total") / F.sum("cnt")).alias("avg_s"))
-    if "min" in aggs:
-        exprs.append(F.min("lo").alias("min_s"))
-    if "max" in aggs:
-        exprs.append(F.max("hi").alias("max_s"))
-    if group_cols:
-        return partials.groupBy(*group_cols).agg(*exprs)
-    return partials.agg(*exprs)
+    return segment_partials(view, group_cols).groupBy(*group_cols).agg(
+        *agg_exprs(aggs))

@@ -8,83 +8,18 @@ interval to the segment's end — segments are disconnected so no data
 point is counted twice.
 
 No explicit time dimension is stored: everything derives from
-StartTime/EndTime/SI (§III-C).  Constant models contribute per-bucket
-partials from index arithmetic alone; linear models via an arithmetic
-series per bucket; lossless models are decoded once and bucketed with
-``np.add.reduceat``.
+StartTime/EndTime/SI (§III-C).  ``decode.cut`` cuts each Segment View
+row into one piece per interval, and the row's model type computes the
+pieces' partials in the same ``mapInPandas`` step as the simple
+aggregates (``aggregates.segment_partials``).
 """
 from __future__ import annotations
 
-import struct
-from typing import Iterator, Sequence, Tuple
+from typing import Sequence
 
-import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-from .decode import CONSTANT_MIDS, series_values
-from ..core.model_types import MID_SWING
-
-_MS = {"minute": 60_000, "hour": 3_600_000, "day": 86_400_000}
-
-_ROW_COLS = ["tid", "start_time", "end_time", "si", "size", "mid", "params",
-             "gaps", "bitpos", "scaling", "group_size"]
-
-
-def _bucket_start_scalar(ts: np.ndarray, interval: str) -> np.ndarray:
-    """Vectorised interval-start (epoch ms) of each timestamp."""
-    if interval in _MS:
-        return (ts // _MS[interval]) * _MS[interval]
-    if interval == "month":
-        return (ts.astype("datetime64[ms]").astype("datetime64[M]")
-                .astype("datetime64[ms]").astype(np.int64))
-    raise ValueError(f"unsupported interval {interval!r}")
-
-
-def _bucket_ids(ts: np.ndarray, interval: str) -> Tuple[np.ndarray, np.ndarray]:
-    """(bucket start in ms per point, boundary indices via np.unique)."""
-    if interval in _MS:
-        starts = (ts // _MS[interval]) * _MS[interval]
-    elif interval == "month":
-        months = ts.astype("datetime64[ms]").astype("datetime64[M]")
-        starts = months.astype("datetime64[ms]").astype(np.int64)
-    else:
-        raise ValueError(f"unsupported interval {interval!r}")
-    _, first_idx = np.unique(starts, return_index=True)
-    return starts, first_idx
-
-
-def _bucket_partials(row, interval: str):
-    """Yield (bucket_start, cnt, sum, min, max) for one view row."""
-    ts = row.start_time + row.si * np.arange(row.size, dtype=np.int64)
-    starts, first = _bucket_ids(ts, interval)
-    edges = np.append(first, row.size)
-    counts = np.diff(edges)
-    scale = row.scaling
-    if row.mid in CONSTANT_MIDS:
-        (c,) = struct.unpack("<f", row.params)
-        v = c * scale
-        for b, n in zip(starts[first], counts):
-            yield int(b), int(n), v * n, v, v
-        return
-    if row.mid == MID_SWING and row.size > 1:
-        v_s, v_e = struct.unpack("<ff", row.params)
-        slope = (v_e - v_s) / float(row.end_time - row.start_time)
-        # Arithmetic series per bucket: endpoints give sum, min and max.
-        for b, a, n in zip(starts[first], first, counts):
-            va = (v_s + slope * row.si * a) * scale
-            vb = (v_s + slope * row.si * (a + n - 1)) * scale
-            yield int(b), int(n), (va + vb) / 2.0 * n, min(va, vb), max(va, vb)
-        return
-    vals = series_values(row.mid, row.params, row.start_time, row.end_time,
-                         row.si, row.size, row.gaps, row.bitpos,
-                         row.group_size).astype(np.float64) * scale
-    sums = np.add.reduceat(vals, first)
-    mins = np.minimum.reduceat(vals, first)
-    maxs = np.maximum.reduceat(vals, first)
-    for b, n, s, lo, hi in zip(starts[first], counts, sums, mins, maxs):
-        yield int(b), int(n), float(s), float(lo), float(hi)
+from .aggregates import agg_exprs, segment_partials
 
 
 def cube_agg(view: DataFrame, interval: str,
@@ -94,95 +29,9 @@ def cube_agg(view: DataFrame, interval: str,
     """CUBE_<AGG>_<INTERVAL> over a Segment View.
 
     Returns one row per (group_cols…, bucket_start) with the requested
-    aggregates; ``bucket_start`` is the epoch-ms start of the interval.
+    aggregates; ``bucket_start`` is the epoch-ms start of the interval
+    (``minute``, ``hour``, ``day`` or ``month``).
     """
-    passthrough = [c for c in group_cols if c != "tid"]
-    cols = _ROW_COLS + passthrough
-    schema_extra = "".join(f", {c} string" for c in passthrough)
-    out_schema = ("tid int, bucket_start long, cnt long, total double, "
-                  "lo double, hi double" + schema_extra)
-
-    def compute(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        from ..core.model_types import MID_SWING as _SW
-        from .decode import CONSTANT_MIDS as _CM
-
-        cols_out = (["tid", "bucket_start", "cnt", "total", "lo", "hi"]
-                    + passthrough)
-        for pdf in batches:
-            start = pdf["start_time"].to_numpy(np.int64)
-            end = pdf["end_time"].to_numpy(np.int64)
-            mids = pdf["mid"].to_numpy()
-            # Fast path: a lossy-model segment wholly inside one
-            # aggregation interval contributes exactly one partial,
-            # computable in constant time without touching Python rows.
-            b_start = _bucket_start_scalar(start, interval)
-            b_end = _bucket_start_scalar(end, interval)
-            lossy = np.isin(mids, _CM) | (mids == _SW)
-            fast = lossy & (b_start == b_end)
-            frames = []
-            if fast.any():
-                sub = pdf[fast]
-                cnt = sub["size"].to_numpy(np.int64)
-                scal = sub["scaling"].to_numpy(np.float64)
-                params = sub["params"].to_numpy(object)
-                smids = sub["mid"].to_numpy()
-                total = np.empty(len(sub))
-                lo = np.empty(len(sub))
-                hi = np.empty(len(sub))
-                is_c = np.isin(smids, _CM)
-                if is_c.any():
-                    c = np.frombuffer(b"".join(params[is_c]),
-                                      dtype="<f4").astype(np.float64)
-                    v = c * scal[is_c]
-                    total[is_c] = v * cnt[is_c]
-                    lo[is_c] = v
-                    hi[is_c] = v
-                is_s = ~is_c
-                if is_s.any():
-                    ends = np.frombuffer(b"".join(params[is_s]),
-                                         dtype="<f4").reshape(-1, 2)
-                    vs = ends[:, 0] * scal[is_s]
-                    ve = ends[:, 1] * scal[is_s]
-                    total[is_s] = (vs + ve) / 2.0 * cnt[is_s]
-                    lo[is_s] = np.minimum(vs, ve)
-                    hi[is_s] = np.maximum(vs, ve)
-                frame = {"tid": sub["tid"].to_numpy(),
-                         "bucket_start": b_start[fast], "cnt": cnt,
-                         "total": total, "lo": lo, "hi": hi}
-                for c in passthrough:
-                    frame[c] = sub[c].to_numpy()
-                frames.append(pd.DataFrame(frame))
-            recs = []
-            for row in pdf[~fast].itertuples(index=False):
-                extras = tuple(getattr(row, c) for c in passthrough)
-                for b, n, s, lo_, hi_ in _bucket_partials(row, interval):
-                    recs.append((row.tid, b, n, s, lo_, hi_) + extras)
-            if recs:
-                frames.append(pd.DataFrame(recs, columns=cols_out))
-            if frames:
-                yield pd.concat(frames, ignore_index=True)
-            else:
-                empty = {"tid": pd.Series(dtype="int64"),
-                         "bucket_start": pd.Series(dtype="int64"),
-                         "cnt": pd.Series(dtype="int64"),
-                         "total": pd.Series(dtype="float64"),
-                         "lo": pd.Series(dtype="float64"),
-                         "hi": pd.Series(dtype="float64")}
-                for c in passthrough:
-                    empty[c] = pd.Series(dtype="object")
-                yield pd.DataFrame(empty)
-
-    partials = view.select(*cols).mapInPandas(compute, out_schema)
-    exprs = []
-    if "count" in aggs:
-        exprs.append(F.sum("cnt").alias("count_s"))
-    if "sum" in aggs:
-        exprs.append(F.sum("total").alias("sum_s"))
-    if "avg" in aggs:
-        exprs.append((F.sum("total") / F.sum("cnt")).alias("avg_s"))
-    if "min" in aggs:
-        exprs.append(F.min("lo").alias("min_s"))
-    if "max" in aggs:
-        exprs.append(F.max("hi").alias("max_s"))
-    keys = list(group_cols) + ["bucket_start"]
-    return partials.groupBy(*keys).agg(*exprs)
+    partials = segment_partials(view, group_cols, interval)
+    return partials.groupBy(*group_cols, "bucket_start").agg(
+        *agg_exprs(aggs))

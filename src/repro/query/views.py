@@ -3,9 +3,10 @@
 * **Segment View** ``(Tid, StartTime, EndTime, SI, Mid, Parameters,
   Gaps, <Dimensions>)`` — one row per (segment, member Tid); model-based
   UDAF-style aggregates run here (``aggregates.py``, ``time_agg.py``).
-* **Data Point View** ``(Tid, TS, Value, <Dimensions>)`` — models are
-  evaluated back into data points with ``mapInPandas``; arbitrary Spark
-  SQL works on top, so every query remains answerable within ε.
+* **Data Point View** ``(Tid, TS, Value, <Dimensions>)`` — each row's
+  model type evaluates its model back into data points, one frame per
+  Arrow batch of a ``mapInPandas`` step; arbitrary Spark SQL works on
+  top, so every query remains answerable within ε.
 
 Both views map Tids to Gids through the Time Series table and push Gid
 and time predicates into the ``modelardb`` scan (``rewrite.py``).
@@ -14,13 +15,13 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from ..core.model_types import registry
 from ..storage import datasource, segment_store
-from .decode import series_values
+from . import decode
 
 _META_CORE = ("tid", "gid", "bitpos", "scaling", "si")
 
@@ -82,32 +83,16 @@ def data_point_view(spark: SparkSession, store_path: str,
                     max_start_time: Optional[int] = None,
                     tids: Optional[Sequence[int]] = None,
                     with_dims: bool = False) -> DataFrame:
-    """Reconstruct data points from models (within ε) as a DataFrame."""
+    """Data points rebuilt from models (within ε) as a DataFrame."""
     view = segment_view(spark, store_path, gids, min_end_time,
                         max_start_time, tids)
-    cols = ["tid", "start_time", "end_time", "si", "size", "mid", "params",
-            "gaps", "bitpos", "scaling", "group_size"]
+    types = registry()  # read on the driver, as in segment_partials
 
     def expand(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in batches:
-            frames = []
-            for row in pdf.itertuples(index=False):
-                vals = series_values(row.mid, row.params, row.start_time,
-                                     row.end_time, row.si, row.size,
-                                     row.gaps, row.bitpos, row.group_size)
-                frames.append(pd.DataFrame({
-                    "tid": np.int32(row.tid),
-                    "ts": row.start_time + row.si * np.arange(
-                        row.size, dtype=np.int64),
-                    "value": (vals.astype(np.float64)
-                              * row.scaling).astype(np.float32),
-                }))
-            yield (pd.concat(frames, ignore_index=True) if frames
-                   else pd.DataFrame({"tid": pd.Series(dtype="int32"),
-                                      "ts": pd.Series(dtype="int64"),
-                                      "value": pd.Series(dtype="float32")}))
+            yield decode.points(pdf, types)
 
-    points = view.select(*cols).mapInPandas(
+    points = view.select(*decode.VIEW_COLS).mapInPandas(
         expand, "tid int, ts long, value float")
     if with_dims:
         meta = load_tsmeta(spark, store_path)

@@ -14,7 +14,8 @@ Cassandra's primary-key index, see ``segment_store.py``) becomes one
 input partition, so Spark parallelises the scan over the virtual
 workers exactly as ModelarDB+ parallelises over Gids (Table I:
 "Parallelize queries over Gids in Spark instead of Cassandra").
-Pushed Gid/time predicates are applied per record after file pruning.
+Pushed Gid/time predicates are applied per record after file pruning,
+by the same per-file read as ``segment_store.read_segments``.
 """
 from __future__ import annotations
 
@@ -64,29 +65,14 @@ class ModelarSegmentReader(DataSourceReader):
             return
         import pyarrow as pa
 
-        from ..core.segment import unpack
+        from .segment_store import read_file
 
-        gid_set = set(self.gids) if self.gids is not None else None
-        with open(partition.path, "rb") as f:
-            data = f.read()
         cols: dict = {k: [] for k in ("gid", "start_time", "end_time", "si",
                                       "size", "mid", "gaps", "params")}
-        for s in unpack(data):
-            if gid_set is not None and s.gid not in gid_set:
-                continue
-            if self.min_end_time is not None and s.end_time < self.min_end_time:
-                continue
-            if (self.max_start_time is not None
-                    and s.start_time > self.max_start_time):
-                continue
-            cols["gid"].append(s.gid)
-            cols["start_time"].append(s.start_time)
-            cols["end_time"].append(s.end_time)
-            cols["si"].append(s.si)
-            cols["size"].append(s.size)
-            cols["mid"].append(s.mid)
-            cols["gaps"].append(s.gaps)
-            cols["params"].append(s.params)
+        for s in read_file(partition.path, self.gids, self.min_end_time,
+                           self.max_start_time):
+            for k, v in cols.items():
+                v.append(getattr(s, k))
         if not cols["gid"]:
             return
         yield pa.record_batch([

@@ -9,23 +9,25 @@ directory::
       model.json            # Model table: mid → model-type name
       segments/
         part-00000.mdb      # packed Segment records (core/segment.py)
-        part-00000.json     # footer: min/max gid, min/max end_time, count
+        part-00000.json     # footer: count, Gids, min/max gid,
+                            #   min start_time, min/max end_time
 
 Segments are partitioned across ``.mdb`` files by the worker assignment
 from ``dims/partitioner.py`` — one file per (virtual) worker, mirroring
 the paper's one-node-per-group placement.  The JSON footers provide the
 pruning statistics Cassandra's primary-key index gives ModelarDB+:
-reads with Gid or EndTime predicates skip whole files.
+reads with Gid or time predicates skip whole files, and
+:func:`read_file` filters the segments of the files that remain.
 """
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import pandas as pd
 
-from ..core import MODEL_NAMES
+from ..core.model_types import by_mid, registered_mids
 from ..core.segment import Segment, pack, unpack
 from ..dims.partitioner import partition_groups
 
@@ -36,7 +38,7 @@ def write_store(segments: Sequence[Segment], meta: pd.DataFrame, path: str,
     os.makedirs(os.path.join(path, "segments"), exist_ok=True)
     meta.to_parquet(os.path.join(path, "tsmeta.parquet"), index=False)
     with open(os.path.join(path, "model.json"), "w") as f:
-        json.dump({str(k): v for k, v in MODEL_NAMES.items()}, f)
+        json.dump({str(m): by_mid(m).name for m in registered_mids()}, f)
     assignment = partition_groups(meta, n_workers)
     by_worker: Dict[int, List[Segment]] = {}
     for s in segments:
@@ -51,6 +53,7 @@ def write_store(segments: Sequence[Segment], meta: pd.DataFrame, path: str,
             "count": len(segs),
             "gid_min": min((s.gid for s in segs), default=0),
             "gid_max": max((s.gid for s in segs), default=0),
+            "start_time_min": min((s.start_time for s in segs), default=0),
             "end_time_min": min((s.end_time for s in segs), default=0),
             "end_time_max": max((s.end_time for s in segs), default=0),
             "gids": sorted({s.gid for s in segs}),
@@ -87,26 +90,36 @@ def list_files(path: str, gids: Optional[Sequence[int]] = None,
         if (min_end_time is not None
                 and footer["end_time_max"] < min_end_time):
             continue
+        if (max_start_time is not None
+                and footer["start_time_min"] > max_start_time):
+            continue
         out.append(os.path.join(seg_dir, name))
     return out
+
+
+def read_file(fname: str, gids: Optional[Sequence[int]] = None,
+              min_end_time: Optional[int] = None,
+              max_start_time: Optional[int] = None) -> Iterator[Segment]:
+    """The segments of one ``.mdb`` file that match the predicates."""
+    gid_set = set(gids) if gids is not None else None
+    with open(fname, "rb") as f:
+        data = f.read()
+    for seg in unpack(data):
+        if gid_set is not None and seg.gid not in gid_set:
+            continue
+        if min_end_time is not None and seg.end_time < min_end_time:
+            continue
+        if max_start_time is not None and seg.start_time > max_start_time:
+            continue
+        yield seg
 
 
 def read_segments(path: str, gids: Optional[Sequence[int]] = None,
                   min_end_time: Optional[int] = None,
                   max_start_time: Optional[int] = None) -> Iterable[Segment]:
     """Scan the store with residual per-segment filtering."""
-    gid_set = set(gids) if gids is not None else None
     for fname in list_files(path, gids, min_end_time, max_start_time):
-        with open(fname, "rb") as f:
-            data = f.read()
-        for seg in unpack(data):
-            if gid_set is not None and seg.gid not in gid_set:
-                continue
-            if min_end_time is not None and seg.end_time < min_end_time:
-                continue
-            if max_start_time is not None and seg.start_time > max_start_time:
-                continue
-            yield seg
+        yield from read_file(fname, gids, min_end_time, max_start_time)
 
 
 def read_tsmeta(path: str) -> pd.DataFrame:

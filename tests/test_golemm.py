@@ -2,7 +2,6 @@
 import numpy as np
 import pytest
 
-from repro.core import MODEL_NAMES
 from repro.core.golemm import (CompressStats, compress_chunk, compress_group,
                                reconstruct_segment)
 from repro.core.model_types import (MID_GORILLA, MID_PMC_MEAN, MID_SWING)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.fallback import GorillaModel, RawFallback
-from repro.core.model_types import FitResult, by_mid, first_false
+from repro.core.model_types import Columns, FitResult, by_mid, first_false
 from repro.core.pmc_mean import PMCMean, PMCMidrange
 from repro.core.swing import Swing
 
@@ -16,6 +16,16 @@ def mk(ts_n=10, series=1, si=100):
 
 def delta_for(V, eps_pct):
     return np.abs(V) * (eps_pct / 100.0)
+
+
+def whole_columns(mt, params, ts, n_series, scaling=1.0):
+    """Partials of every column of one segment of ``mk`` timestamps."""
+    n = n_series
+    cols = Columns(np.full(n, mt.mid), np.array([params] * n, dtype=object),
+                   np.zeros(n, np.int64), np.full(n, 100),
+                   np.full(n, len(ts)), np.full(n, n), np.arange(n),
+                   np.full(n, scaling))
+    return mt.partials(cols, np.arange(n), np.zeros(n, np.int64), cols.size)
 
 
 class TestFirstFalse:
@@ -81,11 +91,11 @@ class TestPMCMean:
         assert np.all(out == np.float32(7.0))
 
     def test_aggregates_constant_time(self):
-        m = PMCMean()
         p = struct.pack("<f", 2.5)
-        cnt, s, lo, hi = m.aggregates(p, mk(10), 4)
-        assert cnt == 40 and s == pytest.approx(100.0)
-        assert lo == hi == pytest.approx(2.5)
+        s, lo, hi = whole_columns(PMCMean(), p, mk(10), 4, scaling=2.0)
+        np.testing.assert_array_equal(s, np.full(4, 50.0))
+        np.testing.assert_array_equal(lo, np.full(4, 5.0))
+        np.testing.assert_array_equal(hi, np.full(4, 5.0))
 
 
 class TestPMCMidrange:
@@ -171,9 +181,8 @@ class TestSwing:
         ts = mk(20)
         V = (3.0 + 0.25 * np.arange(20))[:, None].astype(np.float32)
         res = Swing().fit(ts, V, np.zeros_like(V), 50)
-        cnt, s, lo, hi = Swing().aggregates(res.params, ts, 1)
+        (s,), (lo,), (hi,) = whole_columns(Swing(), res.params, ts, 1)
         rec = Swing().reconstruct(res.params, ts, 1)
-        assert cnt == 20
         assert s == pytest.approx(rec.sum(), rel=1e-5)
         assert lo == pytest.approx(rec.min(), abs=1e-4)
         assert hi == pytest.approx(rec.max(), abs=1e-4)

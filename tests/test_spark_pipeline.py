@@ -12,8 +12,13 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro import oracle
+from repro.core import model_types
 from repro.core.fallback import GorillaModel
+from repro.core.golemm import reconstruct_segment
 from repro.core.ingest import ingest, ingest_local
+from repro.core.model_types import (MID_PMC_MEAN, FitResult, ModelType,
+                                    first_false, register)
+from repro.core.segment import Segment
 from repro.datasets import ep_like
 from repro.dims.grouping import group_time_series, singleton_groups
 from repro.dims.primitives import Distance, clause
@@ -97,6 +102,21 @@ class TestStoreAndDataSource:
         mid_ts = int(ds.points["ts"].median())
         df = segment_scan(spark, store, min_end_time=mid_ts)
         assert df.agg(F.min("end_time")).first()[0] >= mid_ts
+
+    def test_upper_time_bound_skips_later_file(self, spark, tmp_path):
+        meta = pd.DataFrame({"tid": [1, 2], "gid": [1, 2], "bitpos": 0,
+                             "scaling": 1.0, "si": 100})
+        segs = [Segment(gid, t0, t0 + 900, 100, 10, MID_PMC_MEAN, 0,
+                        b"\0\0\x80?")
+                for gid, t0 in ((1, 0), (1, 1000), (2, 5000), (2, 6000))]
+        path = str(tmp_path / "two_files")
+        write_store(segs, meta, path, n_workers=2)
+        assert len(segment_store.list_files(path)) == 2
+        (early,) = segment_store.list_files(path, max_start_time=4000)
+        assert {s.gid for s in segment_store.read_file(early)} == {1}
+        scan = segment_scan(spark, path, max_start_time=4000)
+        assert scan.rdd.getNumPartitions() == 1
+        assert sorted(r["start_time"] for r in scan.collect()) == [0, 1000]
 
     def test_empty_store_scans_empty(self, spark, tmp_path, grouped_meta):
         path = str(tmp_path / "empty")
@@ -292,3 +312,81 @@ class TestUngroupedStore:
         want = ds.points.groupby("tid").size()
         assert (got.set_index("tid")["count_s"].sort_index()
                 == want.sort_index()).all()
+
+
+class TestUserModelType:
+    def test_registered_type_queried_through_both_views(
+            self, spark, tmp_path, monkeypatch):
+        """A model type with only fit and reconstruct, registered on the
+        driver, answers aggregates and data points like a built-in."""
+
+        class Sixteenths(ModelType):
+            """Every value rounded to a multiple of 1/16."""
+
+            mid = 42
+            name = "Sixteenths"
+
+            def fit(self, ts, V, delta, length_bound):
+                q = np.round(V * 16.0) / 16.0
+                n = first_false((np.abs(q - V) <= delta).all(axis=1))
+                n = min(n, length_bound)
+                return FitResult(n, q[:n].astype("<f4").tobytes() if n
+                                 else None)
+
+            def reconstruct(self, params, ts, n_series):
+                return np.frombuffer(params, "<f4").reshape(len(ts),
+                                                            n_series)
+
+        monkeypatch.setattr(model_types, "_REGISTRY",
+                            dict(model_types._REGISTRY))
+        register(Sixteenths())
+        ds = ep_like(n_entities=1, n_points=3000, si=1_200_000, seed=22,
+                     gap_prob=0.3)      # 41.7 days: crosses a month end
+        meta, _ = group_time_series(ds.meta, list(ds.dims),
+                                    [clause(Distance.auto(ds.dims))])
+        segs = ingest_local(ds.points, meta, 1.0,
+                            model_types=(Sixteenths(),))
+        assert any(s.mid == Sixteenths.mid for s in segs)
+        path = str(tmp_path / "user_type")
+        write_store(segs, meta, path)
+
+        # Driver-side reference: every point rebuilt by reconstruct_segment.
+        rows = []
+        for gid, g in meta.groupby("gid"):
+            g = g.sort_values("bitpos")
+            for s in (s for s in segs if s.gid == gid):
+                ts, cols, V = reconstruct_segment(s, len(g))
+                for j, c in enumerate(cols):
+                    rows.append(pd.DataFrame({
+                        "tid": int(g["tid"].iloc[c]), "ts": ts,
+                        "value": V[:, j].astype(np.float64)
+                        * float(g["scaling"].iloc[c])}))
+        ref = pd.concat(rows, ignore_index=True)
+
+        got = (data_point_view(spark, path).toPandas()
+               .sort_values(["tid", "ts"]).reset_index(drop=True))
+        want = ref.sort_values(["tid", "ts"]).reset_index(drop=True)
+        np.testing.assert_array_equal(got["tid"], want["tid"])
+        np.testing.assert_array_equal(got["ts"], want["ts"])
+        np.testing.assert_array_equal(got["value"],
+                                      want["value"].astype(np.float32))
+
+        view = segment_view(spark, path)
+        ref["month"] = (pd.to_datetime(ref["ts"], unit="ms").dt
+                        .to_period("M").dt.start_time.astype(np.int64)
+                        // 1_000_000)
+        ref["hour"] = ref["ts"] // 3_600_000 * 3_600_000
+        for res, keys in ((simple_agg(view), ["tid"]),
+                          (cube_agg(view, "hour"), ["tid", "hour"]),
+                          (cube_agg(view, "month"), ["tid", "month"])):
+            res = res.toPandas().rename(
+                columns={"bucket_start": keys[-1]}).set_index(keys)
+            agg = ref.groupby(keys)["value"].agg(
+                ["count", "sum", "mean", "min", "max"])
+            assert sorted(res.index) == sorted(agg.index)
+            res = res.loc[agg.index]
+            np.testing.assert_array_equal(res["count_s"], agg["count"])
+            for col, ref_col in (("sum_s", "sum"), ("avg_s", "mean"),
+                                 ("min_s", "min"), ("max_s", "max")):
+                np.testing.assert_allclose(res[col], agg[ref_col],
+                                           rtol=1e-12)
