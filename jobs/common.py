@@ -61,11 +61,9 @@ def show(title: str, df: pd.DataFrame) -> None:
 
 # Job-scale data set parameters: ~2M points for EP/EF so the raw-format
 # baselines are scan-bound (the regime the paper evaluates) while the
-# suite still finishes in minutes.  Override via REPRO_POINTS for quick
-# runs.
-import os as _os
-
-_SCALE = float(_os.environ.get("REPRO_SCALE", "1.0"))
+# suite still finishes in minutes.  Scale the point counts via
+# REPRO_SCALE for quick runs.
+_SCALE = float(os.environ.get("REPRO_SCALE", "1.0"))
 
 
 def ep_job(**kw):

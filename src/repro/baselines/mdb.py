@@ -26,15 +26,14 @@ MDB_MODEL_TYPES = (PMCMidrange(), Swing(), GorillaModel())
 
 
 def ingest_mdb(points: pd.DataFrame, meta: pd.DataFrame, eps_pct: float,
-               length_bound: int = 50,
                stats: Optional[CompressStats] = None) -> List[Segment]:
-    """Compress every series separately with MDB's model-type lineup."""
-    singles = singleton_groups(meta.drop(columns=["gid", "bitpos"],
-                                         errors="ignore"))
-    return ingest_local(points, singles, eps_pct,
-                        model_types=MDB_MODEL_TYPES,
-                        length_bound=length_bound, dynamic_split=False,
-                        stats=stats)
+    """Compress every series separately with MDB's model-type lineup.
+
+    Singleton groups never split, so GOLEMM's split/merge is inert here
+    and MDB has none of it, as in the paper.
+    """
+    return ingest_local(points, mdb_meta(meta), eps_pct,
+                        model_types=MDB_MODEL_TYPES, stats=stats)
 
 
 def mdb_meta(meta: pd.DataFrame) -> pd.DataFrame:

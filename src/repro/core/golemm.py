@@ -7,7 +7,7 @@ Ingestion semantics reproduced here:
   types are tried **in configured order** (default PMC-Mean → Swing →
   Gorilla).  A type is used until it fails to represent a newly buffered
   timestamp within the error bound; the next type is then (re)fitted to
-  the whole buffer.  Lossless types are bounded by ``length_bound``
+  the whole buffer.  Lossless types are bounded by ``LENGTH_BOUND``
   instead of ε.  When the *last* type fails, the segment whose model
   gives the best compression is emitted and ingestion restarts with the
   first type.  Segments are *disconnected* (no shared data points).
@@ -25,6 +25,10 @@ Ingestion semantics reproduced here:
 * **Dynamic splitting/merging** (§IV-D, Algorithm 2): implemented in
   :func:`compress_chunk` via sub-groups with synchronised merge points
   and doubling backoff; see ``split_merge.py``.
+
+The paper lets the user set the length bound and the split fraction;
+this reproduction uses one value of each everywhere, so they are the
+module constants ``LENGTH_BOUND`` and ``SPLIT_FRACTION`` (DESIGN.md §4).
 
 The compressor operates on scaled values (``v / C_TS``) as float32 — the
 paper stores values as ``float``.
@@ -48,8 +52,13 @@ from .swing import Swing
 RAW_BITS_PER_POINT = 96
 
 DEFAULT_MODEL_TYPES: Tuple[ModelType, ...] = (PMCMean(), Swing(), GorillaModel())
-DEFAULT_LENGTH_BOUND = 50
-DEFAULT_SPLIT_FRACTION = 10
+#: Most timestamps in one lossless segment (§III-B).
+LENGTH_BOUND = 50
+#: A segment whose ratio is below the average over this fraction
+#: triggers a split (§IV-D).
+SPLIT_FRACTION = 10
+#: Used when no configured model type represents the first timestamp.
+FALLBACK = RawFallback()
 
 
 @dataclass
@@ -85,8 +94,7 @@ class CompressStats:
 
 
 def _best_segment(ts: np.ndarray, V: np.ndarray, delta: np.ndarray,
-                  model_types: Sequence[ModelType], length_bound: int,
-                  fallback: ModelType) -> Tuple[int, int, bytes]:
+                  model_types: Sequence[ModelType]) -> Tuple[int, int, bytes]:
     """One GOLEMM emission step from offset 0 of the given buffer.
 
     Returns (mid, length, params) of the winning model.
@@ -94,7 +102,7 @@ def _best_segment(ts: np.ndarray, V: np.ndarray, delta: np.ndarray,
     n = len(ts)
     candidates = []
     for mt in model_types:
-        bound = length_bound if mt.lossless else n
+        bound = LENGTH_BOUND if mt.lossless else n
         res = mt.fit(ts, V, delta, bound)
         if res.length >= n and not mt.lossless:
             # The type never fails on this buffer — emitted at flush.
@@ -102,8 +110,8 @@ def _best_segment(ts: np.ndarray, V: np.ndarray, delta: np.ndarray,
         if res.length > 0:
             candidates.append((mt.mid, res.length, res.params))
     if not candidates:
-        res = fallback.fit(ts, V, delta, length_bound)
-        return fallback.mid, res.length, res.params
+        res = FALLBACK.fit(ts, V, delta, LENGTH_BOUND)
+        return FALLBACK.mid, res.length, res.params
     # Best compression: fewest bits per represented data point, with the
     # segment's fixed metadata amortised over its length.
     def bits_per_point(c):
@@ -122,10 +130,6 @@ class _SubGroup:      # and list.remove() must match by instance anyway
 
 def compress_chunk(ts: np.ndarray, V: np.ndarray, delta: np.ndarray,
                    model_types: Sequence[ModelType] = DEFAULT_MODEL_TYPES,
-                   length_bound: int = DEFAULT_LENGTH_BOUND,
-                   split_fraction: int = DEFAULT_SPLIT_FRACTION,
-                   dynamic_split: bool = True,
-                   fallback: ModelType = RawFallback(),
                    stats: Optional[CompressStats] = None) -> List[Emitted]:
     """Compress one gap-free chunk (no NaN in ``V``) of a group.
 
@@ -157,7 +161,7 @@ def compress_chunk(ts: np.ndarray, V: np.ndarray, delta: np.ndarray,
         sl = slice(sg.pos, sg.pos + cap)
         mid, length, params = _best_segment(
             ts[sl], V[sl][:, sg.series], delta[sl][:, sg.series],
-            model_types, length_bound, fallback)
+            model_types)
         emitted = Emitted(sg.pos, length, mid, params, sg.series)
         out.append(emitted)
         st.segments += 1
@@ -170,14 +174,11 @@ def compress_chunk(ts: np.ndarray, V: np.ndarray, delta: np.ndarray,
         ratio_sum += r
         ratio_n += 1
 
-        if not dynamic_split:
-            continue
-
         sm0 = time.perf_counter()
         # --- split heuristic (§IV-D): poor ratio + buffered points ----
         if (len(sg.series) > 1 and ratio_n > 1 and
-                r < avg / split_fraction and sg.pos < n_t):
-            win = slice(sg.pos, min(sg.pos + length_bound, n_t))
+                r < avg / SPLIT_FRACTION and sg.pos < n_t):
+            win = slice(sg.pos, min(sg.pos + LENGTH_BOUND, n_t))
             clusters = split_merge.cluster_within_double_bound(
                 V[win][:, sg.series], delta[win][:, sg.series], sg.series)
             if len(clusters) > 1:
@@ -185,13 +186,13 @@ def compress_chunk(ts: np.ndarray, V: np.ndarray, delta: np.ndarray,
                 subgroups.extend(_SubGroup(c, sg.pos) for c in clusters)
                 st.splits += 1
                 merge_backoff = 1
-                next_sync = min(sg.pos + merge_backoff * length_bound, n_t)
+                next_sync = min(sg.pos + merge_backoff * LENGTH_BOUND, n_t)
         # --- merge attempt: all sub-groups aligned at the sync point ---
         if (len(subgroups) > 1 and next_sync is not None and
                 all(g.pos >= min(next_sync, n_t) for g in subgroups)):
             st.merge_attempts += 1
             pos = min(next_sync, n_t - 1)
-            win = slice(pos, min(pos + length_bound, n_t))
+            win = slice(pos, min(pos + LENGTH_BOUND, n_t))
             reps = [int(g.series[0]) for g in subgroups]
             clusters = split_merge.representatives_mergeable(
                 V[win], delta[win], reps)
@@ -208,7 +209,7 @@ def compress_chunk(ts: np.ndarray, V: np.ndarray, delta: np.ndarray,
             else:
                 merge_backoff *= 2
             if len(subgroups) > 1:
-                next_sync = min(next_sync + merge_backoff * length_bound, n_t)
+                next_sync = min(next_sync + merge_backoff * LENGTH_BOUND, n_t)
             else:
                 next_sync = None
         st.split_merge_seconds += time.perf_counter() - sm0
@@ -220,9 +221,6 @@ def compress_chunk(ts: np.ndarray, V: np.ndarray, delta: np.ndarray,
 def compress_group(ts: np.ndarray, values: np.ndarray, eps_pct: float,
                    gid: int, si: int,
                    model_types: Sequence[ModelType] = DEFAULT_MODEL_TYPES,
-                   length_bound: int = DEFAULT_LENGTH_BOUND,
-                   split_fraction: int = DEFAULT_SPLIT_FRACTION,
-                   dynamic_split: bool = True,
                    stats: Optional[CompressStats] = None) -> List[Segment]:
     """Compress a whole group into storage-ready :class:`Segment` rows.
 
@@ -237,6 +235,7 @@ def compress_group(ts: np.ndarray, values: np.ndarray, eps_pct: float,
     n_t, n_s = V.shape
     if n_s > 64:
         raise ValueError("a group is limited to 64 series (64-bit gap mask)")
+    all_bits = (1 << n_s) - 1
     present = ~np.isnan(V)
     # Boundaries wherever the set of present series changes.
     change = np.ones(n_t, dtype=bool)
@@ -252,14 +251,9 @@ def compress_group(ts: np.ndarray, values: np.ndarray, eps_pct: float,
         sub_v = V[b0:b1][:, cols]
         delta = np.abs(sub_v) * (eps_pct / 100.0)
         emitted = compress_chunk(ts[b0:b1], sub_v, delta, model_types,
-                                 length_bound, split_fraction, dynamic_split,
                                  stats=stats)
         for e in emitted:
-            abs_cols = cols[e.series]
-            gaps = 0
-            for i in range(n_s):
-                if i not in set(abs_cols.tolist()):
-                    gaps |= 1 << i
+            gaps = all_bits ^ sum(1 << int(c) for c in cols[e.series])
             t_lo = int(ts[b0 + e.offset])
             t_hi = int(ts[b0 + e.offset + e.length - 1])
             segments.append(Segment(gid, t_lo, t_hi, si, e.length, e.mid,

@@ -14,7 +14,6 @@ toolchain); ``applyInPandas`` preserves the execution structure
 """
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,12 +21,9 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from .golemm import (DEFAULT_LENGTH_BOUND, DEFAULT_MODEL_TYPES,
-                     DEFAULT_SPLIT_FRACTION, CompressStats, compress_group)
+from ..storage.schema import SEGMENT_SCHEMA, segment_columns
+from .golemm import DEFAULT_MODEL_TYPES, CompressStats, compress_group
 from .segment import Segment
-
-SEGMENT_SCHEMA = ("gid int, start_time long, end_time long, si int, "
-                  "size int, mid int, gaps long, params binary")
 
 
 def _group_info(meta: pd.DataFrame) -> Dict[int, dict]:
@@ -63,72 +59,43 @@ def pivot_group(pdf: pd.DataFrame, tids: Sequence[int], si: int
 
 
 def compress_points(pdf: pd.DataFrame, gid: int, group: dict,
-                    eps_pct: float, **options) -> List[Segment]:
+                    eps_pct: float, model_types=DEFAULT_MODEL_TYPES,
+                    stats: Optional[CompressStats] = None) -> List[Segment]:
     """Pivot, scale and compress the points of one group (GOLEMM).
 
-    ``group`` is the group's entry of :func:`_group_info`; ``options``
-    go to :func:`compress_group`.  Both ``pivot_group`` and
-    ``compress_group`` are looked up when this runs, so a caller may
-    replace them on this module.
+    ``group`` is the group's entry of :func:`_group_info`.  Both
+    ``pivot_group`` and ``compress_group`` are looked up when this runs,
+    so a caller may replace them on this module.
     """
     ts, V = pivot_group(pdf, group["tids"], group["si"])
     V = V / group["scalings"][None, :].astype(np.float32)
     return compress_group(ts, V, eps_pct, gid=gid, si=group["si"],
-                          **options)
-
-
-def make_compressor(meta: pd.DataFrame, eps_pct: float,
-                    model_types=DEFAULT_MODEL_TYPES,
-                    length_bound: int = DEFAULT_LENGTH_BOUND,
-                    split_fraction: int = DEFAULT_SPLIT_FRACTION,
-                    dynamic_split: bool = True):
-    """Build the applyInPandas UDF compressing one group per call."""
-    info = _group_info(meta)
-
-    def compress(pdf: pd.DataFrame) -> pd.DataFrame:
-        gid = int(pdf["gid"].iloc[0])
-        segs = compress_points(pdf, gid, info[gid], eps_pct,
-                               model_types=model_types,
-                               length_bound=length_bound,
-                               split_fraction=split_fraction,
-                               dynamic_split=dynamic_split)
-        return pd.DataFrame({
-            "gid": np.int32(gid),
-            "start_time": [s.start_time for s in segs],
-            "end_time": [s.end_time for s in segs],
-            "si": np.int32(info[gid]["si"]),
-            "size": [s.size for s in segs],
-            "mid": [s.mid for s in segs],
-            "gaps": np.array([s.gaps for s in segs], dtype=np.int64),
-            "params": [s.params for s in segs],
-        })
-
-    return compress
+                          model_types=model_types, stats=stats)
 
 
 def ingest(spark: SparkSession, points: DataFrame, meta: pd.DataFrame,
-           eps_pct: float, *, model_types=DEFAULT_MODEL_TYPES,
-           length_bound: int = DEFAULT_LENGTH_BOUND,
-           split_fraction: int = DEFAULT_SPLIT_FRACTION,
-           dynamic_split: bool = True) -> DataFrame:
+           eps_pct: float, *, model_types=DEFAULT_MODEL_TYPES) -> DataFrame:
     """Compress a long-format points DataFrame into segment rows.
 
     ``meta`` must carry ``gid`` assignments from the grouping layer
     (``dims/grouping.py``); the tiny tid→gid map is broadcast-joined
-    onto the points so each group lands in one task.
+    onto the points so each group lands in one task, where ``compress``
+    turns the group's points into rows of the Segment table.
     """
     tid_gid = spark.createDataFrame(meta[["tid", "gid"]])
     with_gid = points.join(F.broadcast(tid_gid), "tid")
-    compress = make_compressor(meta, eps_pct, model_types, length_bound,
-                               split_fraction, dynamic_split)
+    info = _group_info(meta)
+
+    def compress(pdf: pd.DataFrame) -> pd.DataFrame:
+        gid = int(pdf["gid"].iloc[0])
+        return pd.DataFrame(segment_columns(compress_points(
+            pdf, gid, info[gid], eps_pct, model_types=model_types)))
+
     return with_gid.groupBy("gid").applyInPandas(compress, SEGMENT_SCHEMA)
 
 
 def ingest_local(points: pd.DataFrame, meta: pd.DataFrame, eps_pct: float,
                  *, model_types=DEFAULT_MODEL_TYPES,
-                 length_bound: int = DEFAULT_LENGTH_BOUND,
-                 split_fraction: int = DEFAULT_SPLIT_FRACTION,
-                 dynamic_split: bool = True,
                  stats: Optional[CompressStats] = None) -> list[Segment]:
     """Driver-side ingestion of a pandas points frame (used by the
     instrumented compression experiments, where per-group CompressStats
@@ -138,8 +105,5 @@ def ingest_local(points: pd.DataFrame, meta: pd.DataFrame, eps_pct: float,
     for gid, pdf in points.groupby(points["tid"].map(
             meta.set_index("tid")["gid"])):
         out.extend(compress_points(pdf, int(gid), info[int(gid)], eps_pct,
-                                   model_types=model_types,
-                                   length_bound=length_bound,
-                                   split_fraction=split_fraction,
-                                   dynamic_split=dynamic_split, stats=stats))
+                                   model_types=model_types, stats=stats))
     return out

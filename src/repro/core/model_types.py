@@ -46,10 +46,6 @@ class FitResult:
     length: int
     params: Optional[bytes]
 
-    @property
-    def size_bytes(self) -> int:
-        return len(self.params) if self.params is not None else 0
-
 
 class Columns(NamedTuple):
     """A batch of segment columns, one array entry per column.

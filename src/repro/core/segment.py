@@ -20,6 +20,7 @@ from typing import Iterator, List
 
 _HDR = struct.Struct("<iqiiBQI")
 HEADER_BYTES = _HDR.size  # 33 bytes of metadata per segment
+_GAP_BITS = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -32,6 +33,10 @@ class Segment:
     mid: int
     gaps: int          # bitmask of absent series (sorted-Tid bit order)
     params: bytes
+
+    def __post_init__(self):
+        # A gap mask read back from Spark's signed long is unsigned again.
+        object.__setattr__(self, "gaps", int(self.gaps) & _GAP_BITS)
 
     @property
     def byte_size(self) -> int:

@@ -3,7 +3,7 @@
 When a group's time series become temporarily uncorrelated (e.g. a
 damaged turbine), compressing them together produces poor segments.
 GOLEMM reacts with two heuristics: (i) a freshly emitted segment whose
-compression ratio is below ``avg / split_fraction`` triggers Algorithm 2,
+compression ratio is below ``avg / SPLIT_FRACTION`` triggers Algorithm 2,
 which re-clusters the series by whether their buffered data points are
 pairwise within *twice* the user-defined error bound; (ii) split groups
 are re-merged when their representatives are within ``2ε`` again, with a

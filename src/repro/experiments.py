@@ -29,7 +29,8 @@ from pyspark.sql import functions as F
 
 from .baselines import cassandra_sim, formats, influx_sim
 from .baselines.mdb import MDB_MODEL_TYPES, ingest_mdb, mdb_meta
-from .core.golemm import RAW_BITS_PER_POINT, CompressStats, reconstruct_segment
+from .core.golemm import (DEFAULT_MODEL_TYPES, RAW_BITS_PER_POINT,
+                          CompressStats, reconstruct_segment)
 from .core.ingest import ingest_local
 from .core.model_types import by_mid
 from .core.segment import Segment
@@ -256,24 +257,20 @@ def ingestion_table(spark: SparkSession, ds: TSDataset,
         rows.append({"system": name, "seconds": round(secs, 3),
                      "datapoints_per_s": int(n / secs)})
 
-    def spark_ingest_store(meta, path, model_types=None, dynamic=True):
+    def spark_ingest_store(meta, path, model_types=DEFAULT_MODEL_TYPES):
         """Parallel GOLEMM over groups (one task per group), then store —
         the worker-parallel bulk load of Fig. 3."""
         from .core.ingest import ingest as spark_ingest
-        from .core.segment import Segment
 
-        kwargs = {"model_types": model_types} if model_types else {}
         seg_df = spark_ingest(spark, ds.to_spark(spark), meta, eps,
-                              dynamic_split=dynamic, **kwargs)
+                              model_types=model_types)
         segs = [Segment(r["gid"], r["start_time"], r["end_time"], r["si"],
                         r["size"], r["mid"], r["gaps"], bytes(r["params"]))
                 for r in seg_df.collect()]
         write_store(segs, meta, path)
 
-    def local_ingest_store(meta, path, model_types=None, dynamic=True):
-        kwargs = {"model_types": model_types} if model_types else {}
-        segs = ingest_local(ds.points, meta, eps, dynamic_split=dynamic,
-                            **kwargs)
+    def local_ingest_store(meta, path, model_types=DEFAULT_MODEL_TYPES):
+        segs = ingest_local(ds.points, meta, eps, model_types=model_types)
         write_store(segs, meta, path)
 
     ingest_store = spark_ingest_store if parallel else local_ingest_store
@@ -282,7 +279,7 @@ def ingestion_table(spark: SparkSession, ds: TSDataset,
             m, os.path.join(workdir, f"ing_{v}")))
     run("MDB", lambda: ingest_store(
         mdb_meta(ds.meta), os.path.join(workdir, "ing_mdb"),
-        model_types=MDB_MODEL_TYPES, dynamic=False))
+        model_types=MDB_MODEL_TYPES))
     run("parquet", lambda: formats.write_format(
         spark, ds.points, ds.meta, os.path.join(workdir, "ing_pq"),
         "parquet"))

@@ -23,7 +23,7 @@ from typing import Iterator, List, Optional, Sequence
 
 from pyspark.sql.datasource import DataSource, DataSourceReader, InputPartition
 
-from .schema import SEGMENT_SCHEMA
+from .schema import SEGMENT_SCHEMA, segment_columns
 
 
 class _FilePartition(InputPartition):
@@ -67,24 +67,10 @@ class ModelarSegmentReader(DataSourceReader):
 
         from .segment_store import read_file
 
-        cols: dict = {k: [] for k in ("gid", "start_time", "end_time", "si",
-                                      "size", "mid", "gaps", "params")}
-        for s in read_file(partition.path, self.gids, self.min_end_time,
-                           self.max_start_time):
-            for k, v in cols.items():
-                v.append(getattr(s, k))
-        if not cols["gid"]:
-            return
-        yield pa.record_batch([
-            pa.array(cols["gid"], pa.int32()),
-            pa.array(cols["start_time"], pa.int64()),
-            pa.array(cols["end_time"], pa.int64()),
-            pa.array(cols["si"], pa.int32()),
-            pa.array(cols["size"], pa.int32()),
-            pa.array(cols["mid"], pa.int32()),
-            pa.array(cols["gaps"], pa.int64()),
-            pa.array(cols["params"], pa.binary()),
-        ], names=list(cols))
+        segs = list(read_file(partition.path, self.gids, self.min_end_time,
+                              self.max_start_time))
+        if segs:
+            yield pa.RecordBatch.from_pydict(segment_columns(segs))
 
 
 class ModelarDataSource(DataSource):

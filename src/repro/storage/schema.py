@@ -11,9 +11,17 @@ Three logical tables:
   format (``segment_store.py``) and scanned through the ``modelardb``
   DataSourceV2.  ``StartTime`` is derived from ``EndTime``, ``Size`` and
   ``SI`` on read, exactly as the paper's Cassandra schema does.
+
+The Spark ingest and the ``modelardb`` DataSource both emit Segment
+rows built by :func:`segment_columns`.
 """
+from typing import Dict, Sequence
+
+import numpy as np
 from pyspark.sql.types import (BinaryType, IntegerType, LongType,
                                StructField, StructType)
+
+from ..core.segment import Segment
 
 SEGMENT_SCHEMA = StructType([
     StructField("gid", IntegerType()),
@@ -26,10 +34,23 @@ SEGMENT_SCHEMA = StructType([
     StructField("params", BinaryType()),
 ])
 
-#: Columns of the paper's Segment View (§VI-A) before the denormalised
-#: dimensions are appended by the query layer.
-SEGMENT_VIEW_BASE = ("tid", "start_time", "end_time", "si", "mid",
-                     "params", "gaps")
 
-#: Columns of the Data Point View (§VI-A).
-DATA_POINT_VIEW_BASE = ("tid", "ts", "value")
+def segment_columns(segments: Sequence[Segment]) -> Dict[str, np.ndarray]:
+    """The columns of :data:`SEGMENT_SCHEMA` for ``segments``.
+
+    Spark has no unsigned long, so bit 63 of the gap mask becomes the
+    sign bit of ``gaps``; :class:`Segment` masks it back to unsigned.
+    """
+    def col(name: str, dtype) -> np.ndarray:
+        return np.array([getattr(s, name) for s in segments], dtype)
+
+    return {
+        "gid": col("gid", np.int32),
+        "start_time": col("start_time", np.int64),
+        "end_time": col("end_time", np.int64),
+        "si": col("si", np.int32),
+        "size": col("size", np.int32),
+        "mid": col("mid", np.int32),
+        "gaps": col("gaps", np.uint64).view(np.int64),
+        "params": col("params", object),
+    }

@@ -171,6 +171,8 @@ class TestOtherDatasets:
             ef, eps_list=(10.0,), include_value_baseline=False)
         at10 = storage.set_index("system")
         assert at10.loc["MDB+GB", "bytes"] < at10.loc["MDB+-G", "bytes"]
+        assert (at10.loc["MDB+GB", "bytes"] <= at10.loc["MDB+GA", "bytes"]
+                < at10.loc["MDB+-G", "bytes"])
 
     def test_hd_grouping_hurts(self):
         """Fig. 16: on HD, -G beats +GA (pair concretes too far apart)."""

@@ -1,9 +1,13 @@
 """Unit tests for the GOLEMM compressor (core/golemm.py)."""
 import numpy as np
+import pandas as pd
 import pytest
 
+from repro.baselines.mdb import ingest_mdb
+from repro.core import split_merge
 from repro.core.golemm import (CompressStats, compress_chunk, compress_group,
                                reconstruct_segment)
+from repro.core.ingest import ingest_local
 from repro.core.model_types import (MID_GORILLA, MID_PMC_MEAN, MID_SWING)
 
 
@@ -167,22 +171,25 @@ class TestSplitMerge:
         b[200:400] = g.normal(0, 500, 200)  # uncorrelated burst
         return np.stack([a, b], axis=1).astype(np.float32)
 
-    def test_split_occurs_and_improves_compression(self):
+    def test_split_occurs_and_improves_compression(self, monkeypatch):
         V = self._decorrelating_group()
         ts = np.arange(len(V), dtype=np.int64) * 100
         st_split = CompressStats()
         segs_split = compress_group(ts, V, 10.0, gid=1, si=100,
-                                    dynamic_split=True, stats=st_split)
-        segs_no = compress_group(ts, V, 10.0, gid=1, si=100,
-                                 dynamic_split=False)
-        assert st_split.splits >= 1
+                                    stats=st_split)
+        # No-split reference: every split attempt finds one cluster.
+        monkeypatch.setattr(split_merge, "cluster_within_double_bound",
+                            lambda V, delta, series: [series])
+        st_no = CompressStats()
+        segs_no = compress_group(ts, V, 10.0, gid=1, si=100, stats=st_no)
+        assert st_split.splits >= 1 and st_no.splits == 0
         assert (sum(s.byte_size for s in segs_split)
                 <= sum(s.byte_size for s in segs_no))
 
     def test_split_segments_reconstruct_correctly(self):
         V = self._decorrelating_group()
         ts = np.arange(len(V), dtype=np.int64) * 100
-        segs = compress_group(ts, V, 10.0, gid=1, si=100, dynamic_split=True)
+        segs = compress_group(ts, V, 10.0, gid=1, si=100)
         rec = reconstruct_all(segs, 2, len(V))
         assert not np.isnan(rec).any()
         tol = np.abs(V) * 0.10 + 1e-2
@@ -192,7 +199,7 @@ class TestSplitMerge:
         V = self._decorrelating_group()
         ts = np.arange(len(V), dtype=np.int64) * 100
         st = CompressStats()
-        compress_group(ts, V, 10.0, gid=1, si=100, dynamic_split=True, stats=st)
+        compress_group(ts, V, 10.0, gid=1, si=100, stats=st)
         assert st.merge_attempts >= 1
 
     def test_nested_split_of_non_first_subgroup(self):
@@ -210,11 +217,28 @@ class TestSplitMerge:
         V = np.stack([a, b, c], axis=1).astype(np.float32)
         ts = np.arange(n, dtype=np.int64) * 100
         st = CompressStats()
-        segs = compress_group(ts, V, 10.0, gid=1, si=100,
-                              dynamic_split=True, stats=st)
+        segs = compress_group(ts, V, 10.0, gid=1, si=100, stats=st)
         assert st.splits >= 1
         rec = reconstruct_all(segs, 3, n)
         assert not np.isnan(rec).any()
+
+    def test_mdb_never_splits_or_merges(self):
+        """MDB's singleton groups leave split/merge nothing to do, while
+        the same two series as one group do split."""
+        V = self._decorrelating_group()
+        n = len(V)
+        points = pd.DataFrame({"tid": np.repeat([1, 2], n),
+                               "ts": np.tile(np.arange(n) * 100, 2),
+                               "value": V.T.ravel()})
+        meta = pd.DataFrame({"tid": [1, 2], "gid": 1, "bitpos": [0, 1],
+                             "scaling": 1.0, "si": 100})
+        grouped = CompressStats()
+        ingest_local(points, meta, 10.0, stats=grouped)
+        assert grouped.splits >= 1
+        st = CompressStats()
+        segs = ingest_mdb(points, meta, 10.0, stats=st)
+        assert st.splits == st.merge_attempts == 0
+        assert sum(s.size for s in segs) == 2 * n
 
     def test_subgroup_removal_uses_identity(self):
         """list.remove on a non-head sub-group must not invoke ndarray
@@ -230,7 +254,7 @@ class TestSplitMerge:
         V = self._decorrelating_group()
         ts = np.arange(len(V), dtype=np.int64) * 100
         st = CompressStats()
-        compress_group(ts, V, 10.0, gid=1, si=100, dynamic_split=True, stats=st)
+        compress_group(ts, V, 10.0, gid=1, si=100, stats=st)
         assert 0 <= st.split_merge_seconds < st.total_seconds
 
 

@@ -60,6 +60,38 @@ class TestSparkIngest:
         assert via_spark["n"] == len(local)
         assert via_spark["points"] == sum(s.size for s in local)
 
+    def test_gap_in_series_64_through_spark(self, spark, tmp_path):
+        """A 64-series group whose last series has a gap sets bit 63 of
+        the gap mask, the sign bit of Spark's long: both the Spark ingest
+        and the DataSource must carry it."""
+        n, tids = 120, np.arange(1, 65)
+        rng = np.random.default_rng(64)
+        walk = np.cumsum(rng.normal(0, 1, (n, 1)), axis=0) + 100
+        V = (walk + rng.normal(0, 0.1, (n, 64))).astype(np.float32)
+        pts = pd.DataFrame({"tid": np.repeat(tids, n),
+                            "ts": np.tile(np.arange(n) * 100, 64),
+                            "value": V.T.ravel()})
+        pts = pts[~((pts["tid"] == 64) & pts["ts"].between(4000, 7900))]
+        meta = pd.DataFrame({"tid": tids, "gid": 1, "bitpos": tids - 1,
+                             "scaling": 1.0, "si": 100})
+        local = ingest_local(pts, meta, 0.0)
+        assert any(s.gaps >> 63 for s in local)
+        via_spark = [Segment(*r[:7], bytes(r["params"])) for r in
+                     ingest(spark, spark.createDataFrame(pts), meta,
+                            0.0).collect()]
+        def key(s):
+            return s.end_time, s.gaps
+        assert sorted(via_spark, key=key) == sorted(local, key=key)
+        stores = {}
+        for name, segs in (("spark", via_spark), ("local", local)):
+            stores[name] = str(tmp_path / name)
+            write_store(segs, meta, stores[name])
+        got = data_point_view(spark, stores["spark"])
+        oracle.assert_equivalent(
+            got, "SELECT tid, ts, value FROM pts",
+            pts=data_point_view(spark, stores["local"]))
+        assert got.count() == len(pts)
+
     def test_ingestion_covers_every_point(self, ds, grouped_meta):
         segs = ingest_local(ds.points, grouped_meta, eps_pct=0.0)
         per_series = sum(s.size * bin(~s.gaps & ((1 << 64) - 1)).count("1")
