@@ -8,158 +8,113 @@ are laid out in time-ordered blocks: ``v(t1,s1), v(t1,s2), ..., v(t2,s1),
 ...`` so both temporal correlation and correlation across the group's
 series produce small XORs that encode in few bits.
 
-Encoding per value:
-  * first value: 32 raw bits;
+The bitstream is a sequence of fields written MSB-first, one per value,
+zero-padded to a whole byte at the end:
+  * first value: its 32 raw bits;
   * XOR with previous value == 0: control bit ``0`` (1 bit total);
-  * otherwise control bits ``10``: meaningful bits fit in the previous
-    leading/meaningful-bit window — write only the meaningful bits;
-  * control bits ``11``: new window — 5 bits leading-zero count, 5 bits
-    (meaningful-bit count − 1), then the meaningful bits.
+  * control bits ``10``: the XOR's meaningful bits fit in the current
+    window (its leading and trailing zeros are at least the window's) —
+    write the window's ``mb`` bits of the XOR;
+  * control bits ``11``: open a new window — 5 bits leading-zero count,
+    5 bits (meaningful-bit count − 1), then the meaningful bits.
+
+:func:`_fields` decides every value's field; :func:`encode` packs them
+with numpy and :func:`encoded_size_bits` sums their widths.
+:func:`decode` reads each field from the 64-bit big-endian word that
+starts at the field's byte, so a field (at most 44 bits, plus at most 7
+bits of offset) is always read whole.
 """
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-_MASK32 = 0xFFFFFFFF
-
-
-class BitWriter:
-    """Append-only MSB-first bit buffer."""
-
-    __slots__ = ("_buf", "_acc", "_nbits")
-
-    def __init__(self) -> None:
-        self._buf = bytearray()
-        self._acc = 0
-        self._nbits = 0
-
-    def write(self, value: int, nbits: int) -> None:
-        """Append the low ``nbits`` bits of ``value``."""
-        self._acc = (self._acc << nbits) | (value & ((1 << nbits) - 1))
-        self._nbits += nbits
-        while self._nbits >= 8:
-            self._nbits -= 8
-            self._buf.append((self._acc >> self._nbits) & 0xFF)
-        self._acc &= (1 << self._nbits) - 1
-
-    def getvalue(self) -> bytes:
-        """Return the buffer, zero-padding the final partial byte."""
-        if self._nbits:
-            return bytes(self._buf) + bytes(
-                [(self._acc << (8 - self._nbits)) & 0xFF]
-            )
-        return bytes(self._buf)
-
-    def bit_length(self) -> int:
-        return 8 * len(self._buf) + self._nbits
+_MASK64 = (1 << 64) - 1
 
 
-class BitReader:
-    """MSB-first bit reader over a bytes object."""
-
-    __slots__ = ("_data", "_pos")
-
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0
-
-    def read(self, nbits: int) -> int:
-        out = 0
-        pos = self._pos
-        data = self._data
-        for _ in range(nbits):
-            byte = data[pos >> 3]
-            out = (out << 1) | ((byte >> (7 - (pos & 7))) & 1)
-            pos += 1
-        self._pos = pos
-        return out
+def _bit_length(x: np.ndarray) -> np.ndarray:
+    """``int.bit_length`` of every element of a non-negative array below
+    2**53 (exact through float64)."""
+    return np.frexp(x.astype(np.float64))[1].astype(np.int64)
 
 
-def _clz32(x: int) -> int:
-    return 32 - x.bit_length()
-
-
-def _ctz32(x: int) -> int:
-    return (x & -x).bit_length() - 1
+def _fields(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Gorilla field of every value: its code and its width in bits."""
+    bits = np.ascontiguousarray(values, dtype="<f4").view("<u4").astype(np.int64)
+    if len(bits) == 0:
+        return bits, bits
+    xor = bits[1:] ^ bits[:-1]
+    zero = xor == 0
+    # A zero XOR gets 33 leading and trailing zeros, so it always fits the
+    # current window (and never opens one); a nonzero XOR has at most 31.
+    lz = np.where(zero, 33, 32 - _bit_length(xor))
+    tz = np.where(zero, 33, _bit_length(xor & -xor) - 1)
+    # The window rule: a value reuses the current window iff its leading
+    # and trailing zeros are at least the window's, else opens its own.
+    opener = []
+    win, win_lz, win_tz = 0, 33, 33
+    for i, (l, t) in enumerate(zip(lz.tolist(), tz.tolist())):
+        if l < win_lz or t < win_tz:
+            win, win_lz, win_tz = i, l, t
+        opener.append(win)
+    opener = np.array(opener, dtype=np.int64)
+    new = opener == np.arange(len(xor))
+    w_lz = np.where(zero, 0, lz[opener])
+    w_tz = np.where(zero, 32, tz[opener])
+    mb = 32 - w_lz - w_tz
+    head = np.where(new, (0b11 << 10) | (w_lz << 5) | (mb - 1), 0b10)
+    codes = np.where(zero, 0, (head << mb) | (xor >> w_tz))
+    widths = np.where(zero, 1, np.where(new, 12, 2) + mb)
+    return np.r_[bits[:1], codes], np.r_[32, widths]
 
 
 def encode(values: np.ndarray) -> bytes:
     """Compress a 1-D float32 array losslessly; returns the bitstream."""
-    bits = np.ascontiguousarray(values, dtype="<f4").view("<u4")
-    w = BitWriter()
-    if len(bits) == 0:
-        return b""
-    prev = int(bits[0])
-    w.write(prev, 32)
-    win_lz = -1  # current leading-zeros window; -1 = none
-    win_mb = 0
-    for x in bits[1:].tolist():
-        xor = prev ^ x
-        if xor == 0:
-            w.write(0, 1)
-        else:
-            lz = min(_clz32(xor), 31)
-            tz = _ctz32(xor)
-            mb = 32 - lz - tz
-            if win_lz >= 0 and lz >= win_lz and 32 - lz - mb >= 32 - win_lz - win_mb:
-                w.write(0b10, 2)
-                w.write(xor >> (32 - win_lz - win_mb), win_mb)
-            else:
-                w.write(0b11, 2)
-                w.write(lz, 5)
-                w.write(mb - 1, 5)
-                w.write(xor >> tz, mb)
-                win_lz, win_mb = lz, mb
-        prev = x
-    return w.getvalue()
+    codes, widths = _fields(values)
+    ends = np.cumsum(widths)
+    shifts = np.repeat(ends, widths) - 1 - np.arange(widths.sum())
+    stream = (np.repeat(codes, widths) >> shifts) & 1
+    return np.packbits(stream.astype(np.uint8)).tobytes()
 
 
 def decode(data: bytes, n: int) -> np.ndarray:
-    """Decompress ``n`` float32 values from a Gorilla bitstream."""
-    out = np.empty(n, dtype="<u4")
+    """Decompress ``n`` float32 values from a Gorilla bitstream.
+
+    Raises ``ValueError`` if the stream ends before ``n`` values."""
     if n == 0:
-        return out.view("<f4")
-    r = BitReader(data)
-    prev = r.read(32)
-    out[0] = prev
-    win_lz = 0
-    win_mb = 0
-    for i in range(1, n):
-        if r.read(1) == 0:
-            out[i] = prev
-            continue
-        if r.read(1) == 0:
-            xor = r.read(win_mb) << (32 - win_lz - win_mb)
-        else:
-            win_lz = r.read(5)
-            win_mb = r.read(5) + 1
-            xor = r.read(win_mb) << (32 - win_lz - win_mb)
-        prev ^= xor
-        out[i] = prev
-    return out.view("<f4")
+        return np.empty(0, dtype="<f4")
+    buf = np.frombuffer(bytes(data) + bytes(8), dtype=np.uint8)
+    words = np.ascontiguousarray(
+        sliding_window_view(buf, 8)[:len(data) + 1]).view(">u8").ravel().tolist()
+    prev = words[0] >> 32
+    out = [prev]
+    pos, end = 32, 8 * len(data)
+    mb = tz = 0
+    try:
+        for _ in range(n - 1):
+            w = (words[pos >> 3] << (pos & 7)) & _MASK64
+            control = w >> 62
+            if control < 0b10:
+                pos += 1
+            else:
+                if control == 0b11:
+                    mb = ((w >> 52) & 31) + 1
+                    tz = 32 - ((w >> 57) & 31) - mb
+                    w <<= 10
+                    pos += 10
+                prev ^= ((w >> (62 - mb)) & ((1 << mb) - 1)) << tz
+                pos += 2 + mb
+            out.append(prev)
+    except IndexError:  # the fields ran past the zero padding
+        pos = end + 1
+    if pos > end:
+        raise ValueError(f"Gorilla stream of {len(data)} bytes ends before "
+                         f"{n} values")
+    return np.array(out, dtype="<u4").view("<f4")
 
 
 def encoded_size_bits(values: np.ndarray) -> int:
     """Exact bit size ``encode(values)`` would produce (without padding)."""
-    bits = np.ascontiguousarray(values, dtype="<f4").view("<u4")
-    if len(bits) == 0:
-        return 0
-    total = 32
-    prev = int(bits[0])
-    win_lz = -1
-    win_mb = 0
-    for x in bits[1:].tolist():
-        xor = prev ^ x
-        if xor == 0:
-            total += 1
-        else:
-            lz = min(_clz32(xor), 31)
-            tz = _ctz32(xor)
-            mb = 32 - lz - tz
-            if win_lz >= 0 and lz >= win_lz and 32 - lz - mb >= 32 - win_lz - win_mb:
-                total += 2 + win_mb
-            else:
-                total += 12 + mb
-                win_lz, win_mb = lz, mb
-        prev = x
-    return total
+    return int(_fields(values)[1].sum())

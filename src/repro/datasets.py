@@ -49,21 +49,8 @@ class TSDataset:
     def n_series(self) -> int:
         return len(self.meta)
 
-    @property
-    def n_points(self) -> int:
-        return len(self.points)
-
     def to_spark(self, spark):
         return spark.createDataFrame(self.points)
-
-    def csv_bytes(self) -> int:
-        """Size of the data set as uncompressed CSV (the paper's unit of
-        raw-size comparison)."""
-        sample = self.points.head(1000)
-        if len(sample) == 0:
-            return 0
-        per_row = len(sample.to_csv(index=False)) / max(len(sample), 1)
-        return int(per_row * len(self.points))
 
 
 def regime_signal(rng: np.random.Generator, n: int, base: float = 50.0,

@@ -8,7 +8,7 @@ members to the Gids of groups containing series with those members.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import pandas as pd
 
@@ -29,14 +29,3 @@ def gids_for(tsmeta: pd.DataFrame,
         sel &= tsmeta[col] == val
     return sorted(tsmeta.loc[sel, "gid"].unique().astype(int).tolist())
 
-
-def rewrite_predicates(tsmeta: pd.DataFrame,
-                       tids: Optional[Sequence[int]] = None,
-                       members: Optional[Dict[str, object]] = None,
-                       ts_min: Optional[int] = None,
-                       ts_max: Optional[int] = None
-                       ) -> Tuple[List[int], Optional[int], Optional[int]]:
-    """Full push-down tuple for a Segment View scan: (gids, min_end_time,
-    max_start_time).  A segment overlaps [ts_min, ts_max] iff its end is
-    ≥ ts_min and its start is ≤ ts_max."""
-    return gids_for(tsmeta, tids, members), ts_min, ts_max

@@ -9,8 +9,8 @@ directory::
       model.json            # Model table: mid → model-type name
       segments/
         part-00000.mdb      # packed Segment records (core/segment.py)
-        part-00000.json     # footer: count, Gids, min/max gid,
-                            #   min start_time, min/max end_time
+        part-00000.json     # footer: count, Gids, min start_time,
+                            #   max end_time
 
 Segments are partitioned across ``.mdb`` files by the worker assignment
 from ``dims/partitioner.py`` — one file per (virtual) worker, mirroring
@@ -51,10 +51,7 @@ def write_store(segments: Sequence[Segment], meta: pd.DataFrame, path: str,
             f.write(pack(segs))
         footer = {
             "count": len(segs),
-            "gid_min": min((s.gid for s in segs), default=0),
-            "gid_max": max((s.gid for s in segs), default=0),
             "start_time_min": min((s.start_time for s in segs), default=0),
-            "end_time_min": min((s.end_time for s in segs), default=0),
             "end_time_max": max((s.end_time for s in segs), default=0),
             "gids": sorted({s.gid for s in segs}),
         }

@@ -13,37 +13,33 @@ def roundtrip(vals):
     np.testing.assert_array_equal(arr, out)
 
 
-class TestBitIO:
-    def test_write_read_single_bits(self):
-        w = gorilla.BitWriter()
-        pattern = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1]
-        for b in pattern:
-            w.write(b, 1)
-        r = gorilla.BitReader(w.getvalue())
-        assert [r.read(1) for _ in pattern] == pattern
+def reference_encode(arr):
+    """Gorilla layout written one field at a time as a bit string: the
+    reference the vectorised encoder must reproduce byte for byte."""
+    bits = arr.view(np.uint32).tolist()
+    out = f"{bits[0]:032b}"
+    win = None  # (leading zeros, trailing zeros) of the current window
+    for prev, x in zip(bits, bits[1:]):
+        xor = prev ^ x
+        if xor == 0:
+            out += "0"
+            continue
+        lz, tz = 32 - xor.bit_length(), (xor & -xor).bit_length() - 1
+        if win is not None and lz >= win[0] and tz >= win[1]:
+            out += f"10{xor >> win[1]:0{32 - win[0] - win[1]}b}"
+        else:
+            win, mb = (lz, tz), 32 - lz - tz
+            out += f"11{lz:05b}{mb - 1:05b}{xor >> tz:0{mb}b}"
+    out += "0" * (-len(out) % 8)
+    return int(out, 2).to_bytes(len(out) // 8, "big")
 
-    def test_write_read_multibit(self):
-        w = gorilla.BitWriter()
-        w.write(0b101, 3)
-        w.write(0xDEADBEEF, 32)
-        w.write(0x1F, 5)
-        r = gorilla.BitReader(w.getvalue())
-        assert r.read(3) == 0b101
-        assert r.read(32) == 0xDEADBEEF
-        assert r.read(5) == 0x1F
 
-    def test_bit_length_tracks_written_bits(self):
-        w = gorilla.BitWriter()
-        w.write(1, 1)
-        w.write(0, 7)
-        w.write(0xFF, 9)
-        assert w.bit_length() == 17
-
-    def test_value_masked_to_width(self):
-        w = gorilla.BitWriter()
-        w.write(0xFFFF, 4)  # only low 4 bits kept
-        r = gorilla.BitReader(w.getvalue())
-        assert r.read(4) == 0xF
+# Elements of the property tests: float32 bit patterns, drawn both as
+# floats and as raw uint32 (NaN payloads, -0.0, subnormals).
+_bit_patterns = st.one_of(
+    st.floats(width=32, allow_nan=False).map(
+        lambda v: int(np.array(v, dtype=np.float32).view(np.uint32))),
+    st.integers(0, 2**32 - 1))
 
 
 class TestGorillaRoundtrip:
@@ -73,9 +69,33 @@ class TestGorillaRoundtrip:
         assert np.isnan(out[1]) and out[0] == 1.0 and out[2] == 2.0
 
     @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.floats(width=32, allow_nan=False), min_size=1, max_size=200))
-    def test_property_roundtrip(self, vals):
-        roundtrip(vals)
+    @given(st.lists(_bit_patterns, min_size=1, max_size=200))
+    def test_property_roundtrip(self, patterns):
+        arr = np.array(patterns, dtype=np.uint32).view(np.float32)
+        blob = gorilla.encode(arr)
+        assert blob == reference_encode(arr)
+        out = gorilla.decode(blob, len(arr))
+        np.testing.assert_array_equal(out.view(np.uint32), arr.view(np.uint32))
+        assert 8 * len(blob) - 8 < gorilla.encoded_size_bits(arr) <= 8 * len(blob)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(_bit_patterns, min_size=1, max_size=200))
+    def test_truncated_stream_raises(self, patterns):
+        """The last byte holds at least one real bit, so dropping it always
+        cuts the stream short of ``n`` values; an empty stream makes the
+        decoder read past its zero padding."""
+        arr = np.array(patterns, dtype=np.uint32).view(np.float32)
+        for blob in (gorilla.encode(arr)[:-1], b""):
+            with pytest.raises(ValueError):
+                gorilla.decode(blob, len(arr))
+
+    def test_golden_bytes(self):
+        """The bit layout itself: ``0``, ``10`` and ``11`` fields."""
+        arr = np.array([1.0, 1.0, 1.5, 1.25, 1.75, -2.0, -2.0, 3.0e-38],
+                       dtype=np.float32)
+        assert gorilla.encode(arr).hex() == (
+            "3f8000006907487ac0affec1ec12355e60")
+        assert gorilla.encoded_size_bits(arr) == 131
 
 
 class TestGorillaCompression:

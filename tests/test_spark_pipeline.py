@@ -23,7 +23,7 @@ from repro.datasets import ep_like
 from repro.dims.grouping import group_time_series, singleton_groups
 from repro.dims.primitives import Distance, clause
 from repro.query.aggregates import simple_agg
-from repro.query.rewrite import gids_for, rewrite_predicates
+from repro.query.rewrite import gids_for
 from repro.query.time_agg import cube_agg
 from repro.query.views import data_point_view, segment_scan, segment_view
 from repro.storage import segment_store
@@ -268,10 +268,7 @@ class TestRewriting:
         want = set(grouped_meta.loc[
             grouped_meta["measure_category"] == "Weather", "gid"])
         assert set(gids) == want
-
-    def test_rewrite_predicates_roundtrip(self, grouped_meta):
-        gids, lo, hi = rewrite_predicates(grouped_meta, ts_min=5, ts_max=9)
-        assert lo == 5 and hi == 9 and len(gids) > 0
+        assert gids_for(grouped_meta) == sorted(set(grouped_meta["gid"]))
 
     def test_pushed_query_equals_unpushed(self, spark, store, grouped_meta,
                                           ds):
