@@ -9,26 +9,38 @@ Registers the ``modelardb`` format so the Segment table is scanned as::
             .option("min_end_time", "1000")   # optional push-down
             .load())
 
-Each surviving ``.mdb`` file (after footer pruning — the stand-in for
-Cassandra's primary-key index, see ``segment_store.py``) becomes one
-input partition, so Spark parallelises the scan over the virtual
-workers exactly as ModelarDB+ parallelises over Gids (Table I:
-"Parallelize queries over Gids in Spark instead of Cassandra").
-Pushed Gid/time predicates are applied per record after file pruning,
-by the same per-file read as ``segment_store.read_segments``.
+Footer pruning (the stand-in for Cassandra's primary-key index, see
+``segment_store.py``) selects the ``.mdb`` files, and the reader packs
+them, in name order, into input partitions of at least
+:data:`SEGMENTS_PER_PARTITION` segments.  Spark parallelises the scan over
+Gids (Table I: "Parallelize queries over Gids in Spark instead of
+Cassandra") once a scan has enough segments to pay for a Python task per
+partition; a smaller scan is one partition.  Pushed Gid/time predicates
+are applied per record after file pruning, by the same per-file read as
+``segment_store.read_segments``.  ``gids=""`` is the empty Gid list and
+selects no segment.
 """
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from pyspark.sql.datasource import DataSource, DataSourceReader, InputPartition
 
 from .schema import SEGMENT_SCHEMA, segment_columns
 
+# A partition costs two Python task starts, the scan read and the
+# ``mapInPandas`` step over its rows: about 0.6 CPU s on a 4-core Xeon,
+# mostly PySpark re-reading its own zip archives per task.  Model-based
+# partials cost about 50 µs per Segment View row, so below about
+# 0.6 s / 50 µs ≈ 12 000 rows the fixed cost is larger than the work.
+# A segment gives at least one view row, so 2**14 segments per partition
+# keep the fixed cost below the work it parallelises.
+SEGMENTS_PER_PARTITION = 2 ** 14
 
-class _FilePartition(InputPartition):
-    def __init__(self, path: str):
-        self.path = path
+
+class _FilesPartition(InputPartition):
+    def __init__(self, paths: List[str]):
+        self.paths = paths
 
 
 class ModelarSegmentReader(DataSourceReader):
@@ -38,39 +50,50 @@ class ModelarSegmentReader(DataSourceReader):
             raise ValueError("modelardb: 'path' option is required")
         gids = options.get("gids")
         self.gids: Optional[List[int]] = (
-            [int(g) for g in gids.split(",")] if gids else None)
+            None if gids is None else [int(g) for g in gids.split(",") if g])
         met = options.get("min_end_time")
         self.min_end_time = int(met) if met is not None else None
         mst = options.get("max_start_time")
         self.max_start_time = int(mst) if mst is not None else None
 
     def partitions(self) -> Sequence[InputPartition]:
-        from .segment_store import list_files
+        """Consecutive pruned files, closed at ``SEGMENTS_PER_PARTITION``
+        segments; an empty scan is one partition with no files, so it
+        plans an empty DataFrame instead of failing."""
+        from .segment_store import list_footers
 
-        files = list_files(self.path, self.gids, self.min_end_time,
-                           self.max_start_time)
-        # Always return at least one (empty) partition so empty stores
-        # still produce an empty DataFrame instead of failing planning.
-        return [_FilePartition(f) for f in files] or [_FilePartition("")]
+        parts: List[InputPartition] = []
+        paths: List[str] = []
+        count = 0
+        for path, footer in list_footers(self.path, self.gids,
+                                         self.min_end_time,
+                                         self.max_start_time):
+            paths.append(path)
+            count += footer["count"]
+            if count >= SEGMENTS_PER_PARTITION:
+                parts.append(_FilesPartition(paths))
+                paths, count = [], 0
+        if paths or not parts:
+            parts.append(_FilesPartition(paths))
+        return parts
 
-    def read(self, partition: _FilePartition):
-        """Yield one Arrow RecordBatch per ``.mdb`` file.
+    def read(self, partition: _FilesPartition):
+        """Yield one Arrow RecordBatch per ``.mdb`` file of the partition.
 
         Arrow batches avoid per-row Python→JVM conversion — the scan
         cost is then linear in the number of *segments* with a small
         constant, which is what makes model-based aggregates pay off
         (paper §VI-A).
         """
-        if not partition.path:
-            return
         import pyarrow as pa
 
         from .segment_store import read_file
 
-        segs = list(read_file(partition.path, self.gids, self.min_end_time,
-                              self.max_start_time))
-        if segs:
-            yield pa.RecordBatch.from_pydict(segment_columns(segs))
+        for path in partition.paths:
+            segs = list(read_file(path, self.gids, self.min_end_time,
+                                  self.max_start_time))
+            if segs:
+                yield pa.RecordBatch.from_pydict(segment_columns(segs))
 
 
 class ModelarDataSource(DataSource):

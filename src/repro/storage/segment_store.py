@@ -17,13 +17,17 @@ from ``dims/partitioner.py`` — one file per (virtual) worker, mirroring
 the paper's one-node-per-group placement.  The JSON footers provide the
 pruning statistics Cassandra's primary-key index gives ModelarDB+:
 reads with Gid or time predicates skip whole files, and
-:func:`read_file` filters the segments of the files that remain.
+:func:`read_file` filters the segments of the files that remain.  Files
+are the unit of pruning, not of scan parallelism: the ``modelardb``
+reader packs the files that remain into partitions by their footers'
+segment counts (``datasource.py``).
 """
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 import pandas as pd
 
@@ -69,10 +73,12 @@ def store_bytes(path: str) -> int:
     return total
 
 
-def list_files(path: str, gids: Optional[Sequence[int]] = None,
-               min_end_time: Optional[int] = None,
-               max_start_time: Optional[int] = None) -> List[str]:
-    """Predicate push-down: footer-pruned list of .mdb files."""
+def list_footers(path: str, gids: Optional[Sequence[int]] = None,
+                 min_end_time: Optional[int] = None,
+                 max_start_time: Optional[int] = None
+                 ) -> List[Tuple[str, dict]]:
+    """Predicate push-down: the footer-pruned .mdb files, in name order,
+    each with its footer."""
     seg_dir = os.path.join(path, "segments")
     out = []
     for name in sorted(os.listdir(seg_dir)):
@@ -90,8 +96,16 @@ def list_files(path: str, gids: Optional[Sequence[int]] = None,
         if (max_start_time is not None
                 and footer["start_time_min"] > max_start_time):
             continue
-        out.append(os.path.join(seg_dir, name))
+        out.append((os.path.join(seg_dir, name), footer))
     return out
+
+
+def list_files(path: str, gids: Optional[Sequence[int]] = None,
+               min_end_time: Optional[int] = None,
+               max_start_time: Optional[int] = None) -> List[str]:
+    """Predicate push-down: footer-pruned list of .mdb files."""
+    return [f for f, _ in list_footers(path, gids, min_end_time,
+                                       max_start_time)]
 
 
 def read_file(fname: str, gids: Optional[Sequence[int]] = None,

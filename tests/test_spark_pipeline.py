@@ -26,7 +26,8 @@ from repro.query.aggregates import simple_agg
 from repro.query.rewrite import gids_for
 from repro.query.time_agg import cube_agg
 from repro.query.views import data_point_view, segment_scan, segment_view
-from repro.storage import segment_store
+from repro.storage import datasource, segment_store
+from repro.storage.datasource import ModelarSegmentReader
 from repro.storage.segment_store import write_store
 
 
@@ -146,14 +147,62 @@ class TestStoreAndDataSource:
         assert len(segment_store.list_files(path)) == 2
         (early,) = segment_store.list_files(path, max_start_time=4000)
         assert {s.gid for s in segment_store.read_file(early)} == {1}
+        reader = ModelarSegmentReader({"path": path,
+                                       "max_start_time": "4000"})
+        assert [p.paths for p in reader.partitions()] == [[early]]
         scan = segment_scan(spark, path, max_start_time=4000)
-        assert scan.rdd.getNumPartitions() == 1
         assert sorted(r["start_time"] for r in scan.collect()) == [0, 1000]
 
     def test_empty_store_scans_empty(self, spark, tmp_path, grouped_meta):
         path = str(tmp_path / "empty")
         write_store([], grouped_meta, path, n_workers=2)
         assert segment_scan(spark, path).count() == 0
+        (part,) = ModelarSegmentReader({"path": path}).partitions()
+        assert part.paths == []
+
+    def test_empty_gid_list_selects_no_group(self, spark, store):
+        assert segment_scan(spark, store, gids=[]).count() == 0
+        (part,) = ModelarSegmentReader({"path": store,
+                                        "gids": ""}).partitions()
+        assert part.paths == []
+
+    def test_small_store_scans_in_one_partition(self, spark, store):
+        assert len(segment_store.list_files(store)) == 4
+        assert segment_scan(spark, store).rdd.getNumPartitions() == 1
+
+    def test_partitions_pack_files_by_segment_count(self, store,
+                                                    monkeypatch):
+        counts = {f: footer["count"]
+                  for f, footer in segment_store.list_footers(store)}
+        first = counts[min(counts)]
+        for per_partition in (1, first, first + 1, sum(counts.values()),
+                              10 ** 9):
+            monkeypatch.setattr(datasource, "SEGMENTS_PER_PARTITION",
+                                per_partition)
+            parts = [p.paths for p in
+                     ModelarSegmentReader({"path": store}).partitions()]
+            assert [f for paths in parts for f in paths] == sorted(counts)
+            for paths in parts[:-1]:
+                total = sum(counts[f] for f in paths)
+                assert total >= per_partition
+                assert total - counts[paths[-1]] < per_partition
+            assert sum(counts[f] for f in parts[-1]) > 0
+
+    def test_large_store_scans_in_several_partitions(self, spark, tmp_path):
+        n = datasource.SEGMENTS_PER_PARTITION + 100
+        meta = pd.DataFrame({"tid": [1, 2], "gid": [1, 2], "bitpos": 0,
+                             "scaling": 1.0, "si": 100})
+        segs = [Segment(gid, t, t, 100, 1, MID_PMC_MEAN, 0, b"\0\0\x80?")
+                for gid in (1, 2) for t in range(0, 100 * n, 100)]
+        path = str(tmp_path / "large")
+        write_store(segs, meta, path, n_workers=2)
+        assert len(segment_store.list_files(path)) == 2
+        scan = segment_scan(spark, path)
+        assert scan.rdd.getNumPartitions() >= 2
+        direct = list(segment_store.read_segments(path))
+        assert scan.count() == len(direct) == 2 * n
+        assert (scan.agg(F.sum("size")).first()[0]
+                == sum(s.size for s in direct))
 
 
 class TestViews:
