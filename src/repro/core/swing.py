@@ -42,8 +42,11 @@ class Swing(ModelType):
             p = struct.pack("<ff", v1, v1)
             return FitResult(1, p)
         dt = (ts[1:] - ts[0]).astype(np.float64)[:, None]
-        hi_t = ((V[1:] + delta[1:] - v1) / dt).min(axis=1)
-        lo_t = ((V[1:] - delta[1:] - v1) / dt).max(axis=1)
+        # float64: in float32, ``v - v1`` loses up to half an ulp of v1,
+        # which exceeds the bound of a small v after a large anchor.
+        rise = np.subtract(V[1:], v1, dtype=np.float64)
+        hi_t = ((rise + delta[1:]) / dt).min(axis=1)
+        lo_t = ((rise - delta[1:]) / dt).max(axis=1)
         UP = np.minimum.accumulate(hi_t)
         LO = np.maximum.accumulate(lo_t)
         valid = LO <= UP
