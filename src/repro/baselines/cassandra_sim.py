@@ -27,7 +27,7 @@ _REC = struct.Struct("<iqf")
 CHUNK_ROWS = 65_536
 
 
-def write(points: pd.DataFrame, path: str, level: int = 1) -> None:
+def write(points: pd.DataFrame, path: str) -> None:
     os.makedirs(path, exist_ok=True)
     rows = points.sort_values(["tid", "ts"]).reset_index(drop=True)
     tids = rows["tid"].to_numpy(np.int32)
@@ -40,7 +40,7 @@ def write(points: pd.DataFrame, path: str, level: int = 1) -> None:
             buf = bytearray()
             for i in range(start, end):
                 buf += _REC.pack(int(tids[i]), int(ts[i]), float(vals[i]))
-            comp = zlib.compress(bytes(buf), level)
+            comp = zlib.compress(bytes(buf), 1)
             index.append({
                 "offset": f.tell(), "length": len(comp), "rows": end - start,
                 "tid_min": int(tids[start]), "tid_max": int(tids[end - 1]),

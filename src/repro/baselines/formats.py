@@ -17,19 +17,15 @@ from pyspark.sql import functions as F
 
 
 def write_format(spark: SparkSession, points: pd.DataFrame,
-                 meta: pd.DataFrame, path: str, fmt: str,
-                 partition_by_tid: bool = True) -> None:
+                 meta: pd.DataFrame, path: str, fmt: str) -> None:
     """Write the points (joined with denormalised dimensions) as
-    Parquet or ORC."""
+    Parquet or ORC, one directory per Tid."""
     assert fmt in ("parquet", "orc")
     dim_cols = [c for c in meta.columns
                 if c not in ("gid", "bitpos", "scaling", "si", "source")]
     pdf = points.merge(meta[dim_cols], on="tid")
-    df = spark.createDataFrame(pdf)
-    writer = df.write.mode("overwrite")
-    if partition_by_tid:
-        writer = writer.partitionBy("tid")
-    writer.format(fmt).save(path)
+    spark.createDataFrame(pdf).write.mode("overwrite").partitionBy(
+        "tid").format(fmt).save(path)
 
 
 def dir_bytes(path: str) -> int:
@@ -48,10 +44,9 @@ def read_format(spark: SparkSession, path: str, fmt: str) -> DataFrame:
 
 def agg_query(spark: SparkSession, path: str, fmt: str,
               tids: Optional[Sequence[int]] = None,
-              group_cols: Sequence[str] = ("tid",),
               aggs: Sequence[str] = ("count", "sum", "avg", "min", "max"),
               ) -> DataFrame:
-    """The same aggregate workloads the Segment View runs, over raw data."""
+    """The same per-Tid aggregates the Segment View runs, over raw data."""
     df = read_format(spark, path, fmt)
     if tids is not None:
         df = df.filter(F.col("tid").isin([int(t) for t in tids]))
@@ -66,9 +61,7 @@ def agg_query(spark: SparkSession, path: str, fmt: str,
         exprs.append(F.min("value").alias("min_s"))
     if "max" in aggs:
         exprs.append(F.max("value").alias("max_s"))
-    if group_cols:
-        return df.groupBy(*group_cols).agg(*exprs)
-    return df.agg(*exprs)
+    return df.groupBy("tid").agg(*exprs)
 
 
 def pr_query(spark: SparkSession, path: str, fmt: str,

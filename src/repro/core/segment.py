@@ -51,9 +51,13 @@ class Segment:
 
 
 def pack(segments: List[Segment]) -> bytes:
+    """Serialise segments; ``start_time`` is not stored, so a segment
+    whose ``start_time`` is not ``end_time - (size - 1) * si`` is
+    rejected with ``ValueError``."""
     out = bytearray()
     for s in segments:
-        assert s.start_time == s.end_time - (s.size - 1) * s.si, s
+        if s.start_time != s.end_time - (s.size - 1) * s.si:
+            raise ValueError(f"inconsistent segment times: {s}")
         out += _HDR.pack(s.gid, s.end_time, s.si, s.size, s.mid, s.gaps,
                          len(s.params))
         out += s.params

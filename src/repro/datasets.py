@@ -54,8 +54,9 @@ class TSDataset:
 
 
 def regime_signal(rng: np.random.Generator, n: int, base: float = 50.0,
-                  mean_len: int = 60, noise_frac: float = 0.25) -> np.ndarray:
-    """Latent regime-switching signal: constant / linear / noisy pieces.
+                  noise_frac: float = 0.25) -> np.ndarray:
+    """Latent regime-switching signal: constant / linear / noisy pieces
+    of 60 points on average.
 
     ``noise_frac`` is the probability of a noisy (random-walk) regime;
     the rest splits evenly between constant holds and linear ramps.
@@ -64,7 +65,7 @@ def regime_signal(rng: np.random.Generator, n: int, base: float = 50.0,
     pos = 0
     level = base
     while pos < n:
-        length = min(n - pos, max(2, int(rng.geometric(1.0 / mean_len))))
+        length = min(n - pos, max(2, int(rng.geometric(1.0 / 60))))
         r = rng.random()
         if r < (1 - noise_frac) / 2:          # constant hold
             out[pos:pos + length] = level
@@ -82,16 +83,17 @@ def regime_signal(rng: np.random.Generator, n: int, base: float = 50.0,
     return out
 
 
-def _inject_gaps(rng: np.random.Generator, n: int, gap_prob: float,
-                 mean_gap: int = 20) -> np.ndarray:
-    """Boolean present-mask with a few multi-SI gaps (paper §II)."""
+def _inject_gaps(rng: np.random.Generator, n: int, gap_prob: float
+                 ) -> np.ndarray:
+    """Boolean present-mask with a few gaps of 20 SIs on average (paper
+    §II)."""
     present = np.ones(n, dtype=bool)
     if gap_prob <= 0:
         return present
     n_gaps = rng.poisson(gap_prob * 3)
     for _ in range(n_gaps):
         start = int(rng.integers(0, max(1, n - 2)))
-        length = max(2, int(rng.geometric(1.0 / mean_gap)))
+        length = max(2, int(rng.geometric(1.0 / 20)))
         present[start:start + length] = False
     return present
 
@@ -244,6 +246,3 @@ def hd_like(*, n_pairs: int = 6, n_points: int = 1024, si: int = 60_000,
         clusters.append({"base": base, "noise_frac": 0.5, "series": series})
     return _build("HD", rng, clusters, n_points, si, HD_DIMS,
                   noise_rel=0.004, gap_prob=gap_prob)
-
-
-DATASETS = {"EP": ep_like, "EF": ef_like, "HD": hd_like}

@@ -27,7 +27,6 @@ MAX_GROUP_SIZE = 64  # 64-bit gap bitmask (paper §III-C)
 
 def group_time_series(meta: pd.DataFrame, dims: Sequence[Dimension],
                       clauses: Sequence[Clause],
-                      max_group_size: int = MAX_GROUP_SIZE,
                       ) -> Tuple[pd.DataFrame, float]:
     """Assign every series a ``gid`` and ``bitpos`` (Algorithm 1).
 
@@ -47,7 +46,7 @@ def group_time_series(meta: pd.DataFrame, dims: Sequence[Dimension],
                 j = i + 1
                 while j < len(groups):
                     a, b = groups[i], groups[j]
-                    if (len(a) + len(b) <= max_group_size
+                    if (len(a) + len(b) <= MAX_GROUP_SIZE
                             and cl.correlated(meta, dims, a, b)):
                         groups[i] = a + b
                         del groups[j]
@@ -75,15 +74,15 @@ def singleton_groups(meta: pd.DataFrame) -> pd.DataFrame:
     return out
 
 
-def value_based_baseline(meta: pd.DataFrame, points: pd.DataFrame,
-                         decimals: int = 0,
-                         max_group_size: int = MAX_GROUP_SIZE) -> pd.DataFrame:
-    """Offline baseline: group series with equal rounded min/max (§VII-C).
+def value_based_baseline(meta: pd.DataFrame, points: pd.DataFrame
+                         ) -> pd.DataFrame:
+    """Offline baseline: group series with equal min/max, rounded to
+    integers (§VII-C).
 
     Requires a full pass over the data set (its stated drawback); groups
     above the bitmask width are split.
     """
-    stats = points.groupby("tid")["value"].agg(["min", "max"]).round(decimals)
+    stats = points.groupby("tid")["value"].agg(["min", "max"]).round()
     key = list(zip(stats["min"], stats["max"]))
     by_key: Dict[tuple, List[int]] = {}
     for tid, k in zip(stats.index, key):
@@ -94,9 +93,9 @@ def value_based_baseline(meta: pd.DataFrame, points: pd.DataFrame,
     tid_to_row = {int(t): i for i, t in enumerate(out["tid"])}
     gid = 0
     for _, tids in sorted(by_key.items()):
-        for chunk_start in range(0, len(tids), max_group_size):
+        for chunk_start in range(0, len(tids), MAX_GROUP_SIZE):
             gid += 1
-            chunk = sorted(tids[chunk_start:chunk_start + max_group_size])
+            chunk = sorted(tids[chunk_start:chunk_start + MAX_GROUP_SIZE])
             for k, tid in enumerate(chunk):
                 out.loc[tid_to_row[tid], "gid"] = gid
                 out.loc[tid_to_row[tid], "bitpos"] = k

@@ -6,7 +6,8 @@ clause is a conjunction (AND) of atoms; the clause list itself acts as
 OR.  Atoms:
 
 * :class:`Sources` — explicit set of series sources, e.g.
-  ``4aTemp.gz 4bTemp.gz``, optionally with per-series scaling constants.
+  ``4aTemp.gz 4bTemp.gz``.  A series' scaling constant comes from the
+  Time Series table's ``scaling`` column, not from the clause.
 * :class:`Member` — ``(dimension, level, member)``: series must all have
   ``member`` at ``level`` of ``dimension`` (e.g. ``Measure 1
   Temperature``).
@@ -19,7 +20,7 @@ OR.  Atoms:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import pandas as pd
@@ -36,7 +37,6 @@ class Atom:
 @dataclass(frozen=True)
 class Sources(Atom):
     sources: Tuple[str, ...]
-    scalings: Optional[Dict[str, float]] = None
 
     def correlated(self, meta, dims, rows_a, rows_b):
         want = set(self.sources)

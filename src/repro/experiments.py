@@ -5,6 +5,12 @@ figure's numbers are reproduced as a table T1–T10.  Every function
 returns a tidy ``pandas.DataFrame`` whose printed rows are recorded in
 ``EXPERIMENTS.md`` next to the paper's numbers.
 
+Every table measures through one path: the timed tables list their rows
+as (labels, callable) cases and time them with :func:`timed`; the four
+lossless baseline stores are written and sized through
+:data:`BASELINE_STORES`; and ingested points are rebuilt by the Data
+Point View's decoder (:func:`reconstruct_points`).
+
 System variants (§VII-A):
 
 * ``MDB+-G``  — grouping disabled (singleton groups),
@@ -18,31 +24,32 @@ System variants (§VII-A):
 from __future__ import annotations
 
 import os
-import shutil
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Optional, Sequence, Tuple)
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from .baselines import cassandra_sim, formats, influx_sim
-from .baselines.mdb import MDB_MODEL_TYPES, ingest_mdb, mdb_meta
+from .baselines.mdb import MDB_MODEL_TYPES, mdb_meta
 from .core.golemm import (DEFAULT_MODEL_TYPES, RAW_BITS_PER_POINT,
-                          CompressStats, reconstruct_segment)
+                          CompressStats)
 from .core.ingest import ingest_local
-from .core.model_types import by_mid
+from .core.model_types import by_mid, registry
 from .core.segment import Segment
-from .datasets import TSDataset, ef_like, ep_like, hd_like
+from .datasets import TSDataset
 from .dims.grouping import (group_summary, group_time_series,
                             singleton_groups, value_based_baseline)
 from .dims.primitives import Distance, Level, clause
+from .query import decode
 from .query.aggregates import simple_agg
 from .query.rewrite import gids_for
 from .query.time_agg import cube_agg
-from .query.views import data_point_view, segment_view
-from .storage.segment_store import store_bytes, write_store
+from .query.views import data_point_view, segment_view, with_group_size
+from .storage.schema import segment_columns
+from .storage.segment_store import write_store
 
 DEFAULT_EPS = 10.0
 EPS_SWEEP = (0.0, 1.0, 5.0, 10.0)
@@ -89,24 +96,53 @@ def build_variant_metas(ds: TSDataset) -> Dict[str, Tuple[pd.DataFrame, float]]:
 # Shared measurement helpers
 # --------------------------------------------------------------------------
 
-def reconstruct_points_local(segments: Sequence[Segment],
-                             meta: pd.DataFrame) -> pd.DataFrame:
-    """Driver-side Data Point View (used for error measurement)."""
-    by_gid = {int(g): rows.sort_values("tid")
-              for g, rows in meta.groupby("gid")}
-    frames = []
-    for seg in segments:
-        rows = by_gid[seg.gid]
-        ts, cols, V = reconstruct_segment(seg, len(rows))
-        tids = rows["tid"].to_numpy()
-        scalings = rows["scaling"].to_numpy(np.float64)
-        for j, c in enumerate(cols):
-            frames.append(pd.DataFrame({
-                "tid": np.int32(tids[c]),
-                "ts": ts,
-                "value": (V[:, j].astype(np.float64)
-                          * scalings[c]).astype(np.float32)}))
-    return pd.concat(frames, ignore_index=True)
+def _write_format(fmt: str):
+    return lambda spark, ds, path: formats.write_format(
+        spark, ds.points, ds.meta, path, fmt)
+
+
+#: The lossless baseline stores: name → (write(spark, ds, path),
+#: on-disk bytes(path)).
+BASELINE_STORES: Dict[str, Tuple[Callable, Callable[[str], int]]] = {
+    "parquet": (_write_format("parquet"), formats.dir_bytes),
+    "orc": (_write_format("orc"), formats.dir_bytes),
+    "cassandra": (lambda spark, ds, path: cassandra_sim.write(ds.points, path),
+                  cassandra_sim.store_bytes),
+    "influx": (lambda spark, ds, path: influx_sim.write(ds.points, path),
+               influx_sim.store_bytes),
+}
+
+
+def timed(cases: Iterable[Tuple[dict, Callable[[], object]]],
+          rounds: int = 1) -> pd.DataFrame:
+    """One row per (labels, fn) case: the labels and ``seconds``, the
+    median wall-clock seconds of ``rounds`` calls of ``fn``, which must
+    force execution."""
+    rows = []
+    for labels, fn in cases:
+        times = []
+        for _ in range(rounds):
+            t0 = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - t0)
+        rows.append({**labels, "seconds": float(np.median(times))})
+    return pd.DataFrame(rows)
+
+
+def reconstruct_points(segments: Sequence[Segment],
+                       meta: pd.DataFrame) -> pd.DataFrame:
+    """The Data Point View of ``segments``, in pandas (for error
+    measurement).
+
+    Builds their Segment View as the Spark one does — the segment rows
+    joined to the Time Series table, keeping a Tid only where its gap
+    bit is unset — and decodes it with the view's ``decode.points``.
+    """
+    view = pd.DataFrame(segment_columns(segments)).merge(
+        with_group_size(meta).drop(columns="si"), on="gid")
+    present = ((view["gaps"].to_numpy()
+                >> view["bitpos"].to_numpy(np.int64)) & 1) == 0
+    return decode.points(view[present], registry())
 
 
 def actual_avg_error_pct(points: pd.DataFrame,
@@ -123,14 +159,9 @@ def segments_bytes(segments: Sequence[Segment]) -> int:
     return sum(s.byte_size for s in segments)
 
 
-def time_query(fn: Callable[[], object], rounds: int = 3) -> float:
-    """Median wall-clock seconds of ``fn`` (which must force execution)."""
-    times = []
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
+def raw_bytes(ds: TSDataset) -> int:
+    """Uncompressed size of the data set's points (96 bits each, §I)."""
+    return len(ds.points) * RAW_BITS_PER_POINT // 8
 
 
 # --------------------------------------------------------------------------
@@ -143,63 +174,55 @@ def compression_table(ds: TSDataset, eps_list: Sequence[float] = EPS_SWEEP,
     """Tables T2–T4 (Figs. 14–16) for one data set.
 
     Returns (storage table, model-usage table T5, grouping-stats table).
-    Storage rows: system, eps_pct, bytes, avg_error_pct.
+    Storage rows: system, eps_pct, bytes, avg_error_pct.  Model usage
+    covers the MDB+ variants; grouping stats add one value-baseline row.
     """
     variants = build_variant_metas(ds)
-    raw_rows = len(ds.points)
+    systems = [(name, meta, DEFAULT_MODEL_TYPES)
+               for name, (meta, _) in variants.items()]
+    if include_value_baseline:
+        systems.append(("value-baseline",
+                        value_based_baseline(ds.meta, ds.points),
+                        DEFAULT_MODEL_TYPES))
+    # MDB v1 baseline (per-series, PMC-MR).
+    systems.append(("MDB", mdb_meta(ds.meta), MDB_MODEL_TYPES))
     storage_rows, usage_rows, group_rows = [], [], []
 
-    for name, (meta, gsecs) in variants.items():
+    for system, meta, model_types in systems:
         n_groups, avg_size = group_summary(meta)
         for eps in eps_list:
             st = CompressStats()
-            segs = ingest_local(ds.points, meta, eps, stats=st)
-            rec = reconstruct_points_local(segs, meta)
-            err = actual_avg_error_pct(ds.points, rec)
+            segs = ingest_local(ds.points, meta, eps,
+                                model_types=model_types, stats=st)
             storage_rows.append({
-                "system": name, "eps_pct": eps,
-                "bytes": segments_bytes(segs), "avg_error_pct": err})
+                "system": system, "eps_pct": eps,
+                "bytes": segments_bytes(segs),
+                "avg_error_pct": actual_avg_error_pct(
+                    ds.points, reconstruct_points(segs, meta))})
+            if system not in variants:
+                continue
             for mid, cnt in sorted(st.model_counts.items()):
                 usage_rows.append({
-                    "system": name, "eps_pct": eps,
+                    "system": system, "eps_pct": eps,
                     "model": by_mid(mid).name, "segments": cnt,
                     "share": cnt / max(st.segments, 1)})
             overhead = (st.split_merge_seconds / st.total_seconds * 100
                         if st.total_seconds else 0.0)
             group_rows.append({
-                "system": name, "eps_pct": eps, "groups": n_groups,
+                "system": system, "eps_pct": eps, "groups": n_groups,
                 "avg_group_size": round(avg_size, 2),
-                "grouping_seconds": round(gsecs, 4),
+                "grouping_seconds": round(variants[system][1], 4),
                 "split_merge_pct_of_ingest": round(overhead, 3),
                 "splits": st.splits, "merges": st.merges})
-
-    if include_value_baseline:
-        vb_meta = value_based_baseline(ds.meta, ds.points)
-        n_groups, avg_size = group_summary(vb_meta)
-        for eps in eps_list:
-            segs = ingest_local(ds.points, vb_meta, eps)
-            rec = reconstruct_points_local(segs, vb_meta)
-            storage_rows.append({
-                "system": "value-baseline", "eps_pct": eps,
-                "bytes": segments_bytes(segs),
-                "avg_error_pct": actual_avg_error_pct(ds.points, rec)})
-        group_rows.append({
-            "system": "value-baseline", "eps_pct": None,
-            "groups": n_groups, "avg_group_size": round(avg_size, 2),
-            "grouping_seconds": None, "split_merge_pct_of_ingest": None,
-            "splits": None, "merges": None})
-
-    # MDB v1 baseline (per-series, PMC-MR).
-    for eps in eps_list:
-        segs = ingest_mdb(ds.points, ds.meta, eps)
-        rec = reconstruct_points_local(segs, mdb_meta(ds.meta))
-        storage_rows.append({
-            "system": "MDB", "eps_pct": eps, "bytes": segments_bytes(segs),
-            "avg_error_pct": actual_avg_error_pct(ds.points, rec)})
+        if system == "value-baseline":
+            group_rows.append({
+                "system": system, "eps_pct": None,
+                "groups": n_groups, "avg_group_size": round(avg_size, 2),
+                "grouping_seconds": None, "split_merge_pct_of_ingest": None,
+                "splits": None, "merges": None})
 
     storage = pd.DataFrame(storage_rows)
-    raw_bytes = raw_rows * RAW_BITS_PER_POINT // 8
-    storage["ratio_vs_raw96"] = raw_bytes / storage["bytes"]
+    storage["ratio_vs_raw96"] = raw_bytes(ds) / storage["bytes"]
     return storage, pd.DataFrame(usage_rows), pd.DataFrame(group_rows)
 
 
@@ -207,26 +230,13 @@ def industry_storage_table(spark: SparkSession, ds: TSDataset,
                            workdir: str) -> pd.DataFrame:
     """Lossless storage of the industry formats for the same points."""
     rows = []
-    pq = os.path.join(workdir, "parquet")
-    formats.write_format(spark, ds.points, ds.meta, pq, "parquet")
-    rows.append({"system": "parquet", "eps_pct": 0.0,
-                 "bytes": formats.dir_bytes(pq)})
-    orc = os.path.join(workdir, "orc")
-    formats.write_format(spark, ds.points, ds.meta, orc, "orc")
-    rows.append({"system": "orc", "eps_pct": 0.0,
-                 "bytes": formats.dir_bytes(orc)})
-    cas = os.path.join(workdir, "cassandra")
-    cassandra_sim.write(ds.points, cas)
-    rows.append({"system": "cassandra", "eps_pct": 0.0,
-                 "bytes": cassandra_sim.store_bytes(cas)})
-    inf = os.path.join(workdir, "influx")
-    influx_sim.write(ds.points, inf)
-    rows.append({"system": "influx", "eps_pct": 0.0,
-                 "bytes": influx_sim.store_bytes(inf)})
+    for name, (write, size) in BASELINE_STORES.items():
+        path = os.path.join(workdir, name)
+        write(spark, ds, path)
+        rows.append({"system": name, "eps_pct": 0.0, "bytes": size(path)})
     out = pd.DataFrame(rows)
-    raw_bytes = len(ds.points) * RAW_BITS_PER_POINT // 8
     out["avg_error_pct"] = 0.0
-    out["ratio_vs_raw96"] = raw_bytes / out["bytes"]
+    out["ratio_vs_raw96"] = raw_bytes(ds) / out["bytes"]
     return out
 
 
@@ -234,8 +244,7 @@ def industry_storage_table(spark: SparkSession, ds: TSDataset,
 # T1: ingestion rate
 # --------------------------------------------------------------------------
 
-def ingestion_table(spark: SparkSession, ds: TSDataset,
-                    workdir: str, eps: float = DEFAULT_EPS,
+def ingestion_table(spark: SparkSession, ds: TSDataset, workdir: str,
                     parallel: bool = True) -> pd.DataFrame:
     """Table T1 (Fig. 13): wall-clock bulk-load rate per system.
 
@@ -247,67 +256,51 @@ def ingestion_table(spark: SparkSession, ds: TSDataset,
     views are reported in EXPERIMENTS.md; absolute rates are far below
     the JVM systems in the paper (DESIGN.md §7).
     """
-    n = len(ds.points)
-    rows = []
+    def ingest_store(meta, model_types, path):
+        if parallel:
+            # Parallel GOLEMM over groups (one task per group), then
+            # store — the worker-parallel bulk load of Fig. 3.
+            from .core.ingest import ingest as spark_ingest
 
-    def run(name: str, fn: Callable[[], None]) -> None:
-        t0 = time.perf_counter()
-        fn()
-        secs = time.perf_counter() - t0
-        rows.append({"system": name, "seconds": round(secs, 3),
-                     "datapoints_per_s": int(n / secs)})
-
-    def spark_ingest_store(meta, path, model_types=DEFAULT_MODEL_TYPES):
-        """Parallel GOLEMM over groups (one task per group), then store —
-        the worker-parallel bulk load of Fig. 3."""
-        from .core.ingest import ingest as spark_ingest
-
-        seg_df = spark_ingest(spark, ds.to_spark(spark), meta, eps,
-                              model_types=model_types)
-        segs = [Segment(r["gid"], r["start_time"], r["end_time"], r["si"],
-                        r["size"], r["mid"], r["gaps"], bytes(r["params"]))
-                for r in seg_df.collect()]
+            seg_df = spark_ingest(spark, ds.to_spark(spark), meta,
+                                  DEFAULT_EPS, model_types=model_types)
+            segs = [Segment(r["gid"], r["start_time"], r["end_time"],
+                            r["si"], r["size"], r["mid"], r["gaps"],
+                            bytes(r["params"]))
+                    for r in seg_df.collect()]
+        else:
+            segs = ingest_local(ds.points, meta, DEFAULT_EPS,
+                                model_types=model_types)
         write_store(segs, meta, path)
 
-    def local_ingest_store(meta, path, model_types=DEFAULT_MODEL_TYPES):
-        segs = ingest_local(ds.points, meta, eps, model_types=model_types)
-        write_store(segs, meta, path)
+    systems = {name: (meta, DEFAULT_MODEL_TYPES)
+               for name, (meta, _) in build_variant_metas(ds).items()}
+    systems["MDB"] = (mdb_meta(ds.meta), MDB_MODEL_TYPES)
+    cases = [({"system": name}, lambda m=meta, t=types, p=os.path.join(
+        workdir, f"ing_{name}"): ingest_store(m, t, p))
+        for name, (meta, types) in systems.items()]
+    cases += [({"system": name}, lambda w=write, p=os.path.join(
+        workdir, f"ing_{name}"): w(spark, ds, p))
+        for name, (write, _) in BASELINE_STORES.items()]
 
-    ingest_store = spark_ingest_store if parallel else local_ingest_store
-    for vname, (meta, _) in build_variant_metas(ds).items():
-        run(vname, lambda m=meta, v=vname: ingest_store(
-            m, os.path.join(workdir, f"ing_{v}")))
-    run("MDB", lambda: ingest_store(
-        mdb_meta(ds.meta), os.path.join(workdir, "ing_mdb"),
-        model_types=MDB_MODEL_TYPES))
-    run("parquet", lambda: formats.write_format(
-        spark, ds.points, ds.meta, os.path.join(workdir, "ing_pq"),
-        "parquet"))
-    run("orc", lambda: formats.write_format(
-        spark, ds.points, ds.meta, os.path.join(workdir, "ing_orc"), "orc"))
-    run("cassandra", lambda: cassandra_sim.write(
-        ds.points, os.path.join(workdir, "ing_cas")))
-    run("influx", lambda: influx_sim.write(
-        ds.points, os.path.join(workdir, "ing_inf")))
-
-    out = pd.DataFrame(rows)
+    out = timed(cases)
+    out["datapoints_per_s"] = (len(ds.points) / out["seconds"]).astype(int)
+    out["seconds"] = out["seconds"].round(3)
     base = out.loc[out["system"] == "MDB+GA", "datapoints_per_s"].iloc[0]
     out["speedup_of_MDB+GA"] = (base / out["datapoints_per_s"]).round(2)
     return out
 
 
-def ingestion_stability(ds: TSDataset, rounds: int = 10,
-                        eps: float = DEFAULT_EPS) -> pd.DataFrame:
+def ingestion_stability(ds: TSDataset, rounds: int = 10) -> pd.DataFrame:
     """Fig. 13's 1.5-day stability run, shortened: repeated ingestion of
     the (repeating) unbounded stream; rate should stay flat."""
     meta, _ = group_time_series(ds.meta, list(ds.dims), ga_clauses(ds))
-    rows = []
-    for r in range(rounds):
-        t0 = time.perf_counter()
-        ingest_local(ds.points, meta, eps)
-        secs = time.perf_counter() - t0
-        rows.append({"round": r, "datapoints_per_s": int(len(ds.points) / secs)})
-    return pd.DataFrame(rows)
+    out = timed(({"round": r}, lambda: ingest_local(ds.points, meta,
+                                                    DEFAULT_EPS))
+                for r in range(rounds))
+    out["datapoints_per_s"] = (len(ds.points)
+                               / out.pop("seconds")).astype(int)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -315,7 +308,6 @@ def ingestion_stability(ds: TSDataset, rounds: int = 10,
 # --------------------------------------------------------------------------
 
 def distance_table(ds: TSDataset, distances: Sequence[float],
-                   eps: float = DEFAULT_EPS,
                    weights: Optional[Dict[str, float]] = None) -> pd.DataFrame:
     """Table T6 (Fig. 20): storage vs grouping distance.
 
@@ -332,7 +324,7 @@ def distance_table(ds: TSDataset, distances: Sequence[float],
             meta, _ = group_time_series(ds.meta, list(ds.dims),
                                         [clause(Distance(dist, weights))])
         n_groups, avg = group_summary(meta)
-        segs = ingest_local(ds.points, meta, eps)
+        segs = ingest_local(ds.points, meta, DEFAULT_EPS)
         rows.append({"distance": dist, "groups": n_groups,
                      "avg_group_size": round(avg, 2),
                      "bytes": segments_bytes(segs)})
@@ -346,25 +338,19 @@ def distance_table(ds: TSDataset, distances: Sequence[float],
 class QueryContext:
     """Builds every system's store once so T7–T10 share them."""
 
-    def __init__(self, spark: SparkSession, ds: TSDataset, workdir: str,
-                 eps: float = DEFAULT_EPS, n_workers: int = 4):
-        self.spark, self.ds, self.workdir = spark, ds, workdir
-        os.makedirs(workdir, exist_ok=True)
+    def __init__(self, spark: SparkSession, ds: TSDataset, workdir: str):
+        self.spark, self.ds = spark, ds
         self.metas: Dict[str, pd.DataFrame] = {}
+        #: system name → store directory, for the variants and baselines.
         self.stores: Dict[str, str] = {}
         for name, (meta, _) in build_variant_metas(ds).items():
-            segs = ingest_local(ds.points, meta, eps)
             path = os.path.join(workdir, f"store_{name.replace('+', '_')}")
-            write_store(segs, meta, path, n_workers=n_workers)
+            write_store(ingest_local(ds.points, meta, DEFAULT_EPS), meta,
+                        path)
             self.metas[name], self.stores[name] = meta, path
-        self.pq = os.path.join(workdir, "parquet")
-        formats.write_format(spark, ds.points, ds.meta, self.pq, "parquet")
-        self.orc = os.path.join(workdir, "orc")
-        formats.write_format(spark, ds.points, ds.meta, self.orc, "orc")
-        self.cas = os.path.join(workdir, "cassandra")
-        cassandra_sim.write(ds.points, self.cas)
-        self.inf = os.path.join(workdir, "influx")
-        influx_sim.write(ds.points, self.inf)
+        for name, (write, _) in BASELINE_STORES.items():
+            self.stores[name] = os.path.join(workdir, name)
+            write(spark, ds, self.stores[name])
 
     def seg_view(self, variant: str, tids: Optional[Sequence[int]] = None):
         meta = self.metas[variant]
@@ -377,41 +363,42 @@ class QueryContext:
 # T7: L-AGG scale-out; T8: S-AGG; T9: P/R; T10: M-AGG
 # --------------------------------------------------------------------------
 
+def _sum_avg_by_tid(df: DataFrame) -> list:
+    return df.groupBy("tid").agg(F.sum("value"), F.avg("value")).collect()
+
+
 def l_agg_table(ctx: QueryContext, rounds: int = 3) -> pd.DataFrame:
     """Table T7 (Fig. 21): large aggregates over the full data set."""
-    spark, rows = ctx.spark, []
-
-    def add(system, method, fn):
-        rows.append({"system": system, "method": method,
-                     "seconds": round(time_query(fn, rounds), 3)})
-
-    for variant in ("MDB+-G", "MDB+GB", "MDB+GA"):
-        view = ctx.seg_view(variant)
-        add(variant, "S", lambda v=view: simple_agg(
-            v, group_cols=("tid",), aggs=("sum", "avg")).collect())
-        dpv = data_point_view(spark, ctx.stores[variant])
-        add(variant, "DP", lambda d=dpv: d.groupBy("tid").agg(
-            F.sum("value"), F.avg("value")).collect())
-    add("parquet", "F", lambda: formats.agg_query(
-        spark, ctx.pq, "parquet", aggs=("sum", "avg")).collect())
-    add("orc", "F", lambda: formats.agg_query(
-        spark, ctx.orc, "orc", aggs=("sum", "avg")).collect())
-    add("cassandra", "F", lambda: cassandra_sim.read_all(spark, ctx.cas)
-        .groupBy("tid").agg(F.sum("value"), F.avg("value")).collect())
-    add("influx", "J", lambda: influx_sim.read_all(spark, ctx.inf)
-        .groupBy("tid").agg(F.sum("value"), F.avg("value")).collect())
-    return pd.DataFrame(rows)
+    spark, stores, cases = ctx.spark, ctx.stores, []
+    for variant in ctx.metas:
+        cases.append(({"system": variant, "method": "S"},
+                      lambda v=ctx.seg_view(variant): simple_agg(
+                          v, aggs=("sum", "avg")).collect()))
+        cases.append(({"system": variant, "method": "DP"},
+                      lambda d=data_point_view(spark, stores[variant]):
+                      _sum_avg_by_tid(d)))
+    for fmt in ("parquet", "orc"):
+        cases.append(({"system": fmt, "method": "F"},
+                      lambda f=fmt: formats.agg_query(
+                          spark, stores[f], f, aggs=("sum", "avg")).collect()))
+    cases.append(({"system": "cassandra", "method": "F"},
+                  lambda: _sum_avg_by_tid(cassandra_sim.read_all(
+                      spark, stores["cassandra"]))))
+    cases.append(({"system": "influx", "method": "J"},
+                  lambda: _sum_avg_by_tid(influx_sim.read_all(
+                      spark, stores["influx"]))))
+    return timed(cases, rounds).round({"seconds": 3})
 
 
 def scale_out_table(spark: SparkSession, ds: TSDataset, workdir: str,
                     copies: Sequence[int] = (1, 2, 4),
-                    eps: float = DEFAULT_EPS, rounds: int = 3) -> pd.DataFrame:
+                    rounds: int = 3) -> pd.DataFrame:
     """Table T7b (Fig. 22): weak scaling — duplicate the data ×k with
     value jitter (as the paper does on Azure) and measure L-AGG time.
     Linear scalability ⇒ seconds grow ∝ k at fixed parallelism."""
     rng = np.random.default_rng(99)
     meta0, _ = group_time_series(ds.meta, list(ds.dims), gb_clauses(ds))
-    rows = []
+    cases = []
     for k in copies:
         metas, points = [], []
         tid_off = 0
@@ -429,78 +416,71 @@ def scale_out_table(spark: SparkSession, ds: TSDataset, workdir: str,
         meta = pd.concat(metas, ignore_index=True)
         pts = pd.concat(points, ignore_index=True)
         path = os.path.join(workdir, f"scale_{k}")
-        segs = ingest_local(pts, meta, eps)
+        segs = ingest_local(pts, meta, DEFAULT_EPS)
         write_store(segs, meta, path, n_workers=min(16, 4 * k))
-        view = segment_view(spark, path)
-        secs = time_query(lambda: simple_agg(
-            view, group_cols=("tid",), aggs=("sum", "avg")).collect(), rounds)
-        rows.append({"copies": k, "points": len(pts),
-                     "seconds": round(secs, 3),
-                     "points_per_second": int(len(pts) / secs)})
-    return pd.DataFrame(rows)
+        cases.append(({"copies": k, "points": len(pts)},
+                      lambda v=segment_view(spark, path): simple_agg(
+                          v, aggs=("sum", "avg")).collect()))
+    out = timed(cases, rounds)
+    out["points_per_second"] = (out["points"] / out["seconds"]).astype(int)
+    return out.round({"seconds": 3})
 
 
 def s_agg_table(ctx: QueryContext, rounds: int = 3) -> pd.DataFrame:
     """Table T8 (Figs. 23–24): small aggregates, 1 series + 5 series."""
-    spark = ctx.spark
+    spark, stores = ctx.spark, ctx.stores
     meta = ctx.ds.meta
     one = [int(meta["tid"].iloc[len(meta) // 2])]
     five = meta["tid"].iloc[:5].astype(int).tolist()
-    rows = []
-
-    def add(system, workload, fn):
-        rows.append({"system": system, "workload": workload,
-                     "seconds": round(time_query(fn, rounds), 3)})
-
-    for variant in ("MDB+-G", "MDB+GB", "MDB+GA"):
-        for workload, tids in (("1-series", one), ("5-series", five)):
-            view = ctx.seg_view(variant, tids=tids)
-            add(variant, workload, lambda v=view: simple_agg(
-                v, group_cols=("tid",), aggs=("sum", "avg")).collect())
-    for fmt, path in (("parquet", ctx.pq), ("orc", ctx.orc)):
-        for workload, tids in (("1-series", one), ("5-series", five)):
-            add(fmt, workload, lambda f=fmt, p=path, t=tids:
-                formats.agg_query(spark, p, f, tids=t,
-                                  aggs=("sum", "avg")).collect())
-    for workload, tids in (("1-series", one), ("5-series", five)):
-        add("cassandra", workload, lambda t=tids: [
-            cassandra_sim.pr_query(ctx.cas, tid, 0, 2**62)["value"].agg(
-                ["sum", "mean"]) for tid in t])
-        add("influx", workload, lambda t=tids: [
-            influx_sim.pr_query(ctx.inf, tid, 0, 2**62)["value"].agg(
-                ["sum", "mean"]) for tid in t])
-    return pd.DataFrame(rows)
+    workloads = (("1-series", one), ("5-series", five))
+    cases = []
+    for variant in ctx.metas:
+        for workload, tids in workloads:
+            cases.append(({"system": variant, "workload": workload},
+                          lambda v=ctx.seg_view(variant, tids=tids):
+                          simple_agg(v, aggs=("sum", "avg")).collect()))
+    for fmt in ("parquet", "orc"):
+        for workload, tids in workloads:
+            cases.append(({"system": fmt, "workload": workload},
+                          lambda f=fmt, t=tids: formats.agg_query(
+                              spark, stores[f], f, tids=t,
+                              aggs=("sum", "avg")).collect()))
+    for workload, tids in workloads:
+        for system, sim in (("cassandra", cassandra_sim),
+                            ("influx", influx_sim)):
+            cases.append(({"system": system, "workload": workload},
+                          lambda s=sim, p=stores[system], t=tids: [
+                              s.pr_query(p, tid, 0, 2**62)["value"].agg(
+                                  ["sum", "mean"]) for tid in t]))
+    return timed(cases, rounds).round({"seconds": 3})
 
 
 def pr_table(ctx: QueryContext, rounds: int = 3,
              frac: float = 0.02) -> pd.DataFrame:
     """Table T9: point/range queries (WHERE on Tid and TS)."""
-    spark, ds = ctx.spark, ctx.ds
+    spark, ds, stores = ctx.spark, ctx.ds, ctx.stores
     tid = int(ds.meta["tid"].iloc[0])
     t_lo, t_hi = int(ds.points["ts"].min()), int(ds.points["ts"].max())
     span = int((t_hi - t_lo) * frac)
     lo = t_lo + (t_hi - t_lo) // 3
     hi = lo + span
-    rows = []
-
-    def add(system, fn):
-        rows.append({"system": system,
-                     "seconds": round(time_query(fn, rounds), 3)})
-
+    cases = []
     for variant in ("MDB+-G", "MDB+GB"):
-        meta = ctx.metas[variant]
-        gids = gids_for(meta, tids=[tid])
-        add(variant, lambda v=variant, g=gids: data_point_view(
-            spark, ctx.stores[v], gids=g, tids=[tid], min_end_time=lo,
-            max_start_time=hi).filter(
-                (F.col("ts") >= lo) & (F.col("ts") <= hi)).collect())
-    add("parquet", lambda: formats.pr_query(
-        spark, ctx.pq, "parquet", tid, lo, hi).collect())
-    add("orc", lambda: formats.pr_query(
-        spark, ctx.orc, "orc", tid, lo, hi).collect())
-    add("cassandra", lambda: cassandra_sim.pr_query(ctx.cas, tid, lo, hi))
-    add("influx", lambda: influx_sim.pr_query(ctx.inf, tid, lo, hi))
-    return pd.DataFrame(rows)
+        gids = gids_for(ctx.metas[variant], tids=[tid])
+        cases.append(({"system": variant},
+                      lambda v=variant, g=gids: data_point_view(
+                          spark, stores[v], gids=g, tids=[tid],
+                          min_end_time=lo, max_start_time=hi).filter(
+                              (F.col("ts") >= lo) & (F.col("ts") <= hi)
+                          ).collect()))
+    for fmt in ("parquet", "orc"):
+        cases.append(({"system": fmt}, lambda f=fmt: formats.pr_query(
+            spark, stores[f], f, tid, lo, hi).collect()))
+    cases.append(({"system": "cassandra"}, lambda: cassandra_sim.pr_query(
+        stores["cassandra"], tid, lo, hi)))
+    cases.append(({"system": "influx"}, lambda: influx_sim.pr_query(
+        stores["influx"], tid, lo, hi)))
+    return timed(cases, rounds).round({"seconds": 3})
 
 
 def m_agg_table(ctx: QueryContext, dim_col: str, rounds: int = 3
@@ -511,51 +491,50 @@ def m_agg_table(ctx: QueryContext, dim_col: str, rounds: int = 3
     MDB (v1) cannot run M-AGG (no dimensions); InfluxDB cannot either
     (no dynamically sized intervals) — both excluded as in the paper.
     """
-    spark = ctx.spark
-    rows = []
-
-    def add(system, workload, fn):
-        rows.append({"system": system, "workload": workload,
-                     "seconds": round(time_query(fn, rounds), 3)})
-
-    for variant in ("MDB+-G", "MDB+GB", "MDB+GA"):
-        view = ctx.seg_view(variant)
-        add(variant, "M-AGG-1", lambda v=view: cube_agg(
-            v, "month", group_cols=(dim_col,), aggs=("sum",)).collect())
-        add(variant, "M-AGG-2", lambda v=view: cube_agg(
-            v, "month", group_cols=(dim_col, "tid"),
-            aggs=("sum",)).collect())
-    for fmt, path in (("parquet", ctx.pq), ("orc", ctx.orc)):
-        df = formats.read_format(spark, path, fmt).withColumn(
+    spark, stores = ctx.spark, ctx.stores
+    # Grouping keys beyond the dimension member and the month.
+    workloads = (("M-AGG-1", []), ("M-AGG-2", ["tid"]))
+    cases = []
+    for variant in ctx.metas:
+        for workload, extra in workloads:
+            cases.append(({"system": variant, "workload": workload},
+                          lambda v=ctx.seg_view(variant), e=extra: cube_agg(
+                              v, "month", group_cols=(dim_col, *e),
+                              aggs=("sum",)).collect()))
+    for fmt in ("parquet", "orc"):
+        df = formats.read_format(spark, stores[fmt], fmt).withColumn(
             "bucket_start", F.date_trunc(
                 "month", F.timestamp_millis(F.col("ts"))))
-        add(fmt, "M-AGG-1", lambda d=df: d.groupBy(
-            dim_col, "bucket_start").agg(F.sum("value")).collect())
-        add(fmt, "M-AGG-2", lambda d=df: d.groupBy(
-            dim_col, "bucket_start", "tid").agg(F.sum("value")).collect())
+        for workload, extra in workloads:
+            cases.append(({"system": fmt, "workload": workload},
+                          lambda d=df, e=extra: d.groupBy(
+                              dim_col, "bucket_start", *e).agg(
+                                  F.sum("value")).collect()))
+
     def cas_magg(extra_keys):
         # The row store has no dimensions: reading it into Spark and
         # joining the Time Series metadata is part of the measured query
         # (as with the DataStax connector in the paper).
-        pdf = (cassandra_sim.read_all(spark, ctx.cas).toPandas()
+        pdf = (cassandra_sim.read_all(spark, stores["cassandra"]).toPandas()
                .merge(ctx.ds.meta[["tid", dim_col]], on="tid"))
         pdf["bucket_start"] = (pd.to_datetime(pdf["ts"], unit="ms")
                                .dt.to_period("M").dt.start_time)
         return pdf.groupby([dim_col, "bucket_start"] + extra_keys,
                            as_index=False)["value"].sum()
 
-    add("cassandra", "M-AGG-1", lambda: cas_magg([]))
-    add("cassandra", "M-AGG-2", lambda: cas_magg(["tid"]))
-    return pd.DataFrame(rows)
+    for workload, extra in workloads:
+        cases.append(({"system": "cassandra", "workload": workload},
+                      lambda e=extra: cas_magg(e)))
+    return timed(cases, rounds).round({"seconds": 3})
 
 
 def query_error_table(ctx: QueryContext) -> pd.DataFrame:
     """Average aggregate query result error vs the raw data (§VII-C)."""
     truth = ctx.ds.points.groupby("tid")["value"].mean()
     rows = []
-    for variant in ("MDB+-G", "MDB+GB", "MDB+GA"):
-        got = simple_agg(ctx.seg_view(variant), group_cols=("tid",),
-                         aggs=("avg",)).toPandas().set_index("tid")["avg_s"]
+    for variant in ctx.metas:
+        got = simple_agg(ctx.seg_view(variant), aggs=("avg",)
+                         ).toPandas().set_index("tid")["avg_s"]
         err = float((np.abs(got.sort_index() - truth.sort_index())
                      / np.abs(truth.sort_index())).mean() * 100)
         rows.append({"system": variant, "avg_result_error_pct": round(err, 4)})

@@ -26,7 +26,7 @@ from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from ..core.model_types import registry
-from .decode import VIEW_COLS, cut, partials, view_columns
+from .decode import INTERVALS, VIEW_COLS, cut, partials, view_columns
 
 
 def segment_partials(view: DataFrame, group_cols: Sequence[str] = ("tid",),
@@ -36,8 +36,12 @@ def segment_partials(view: DataFrame, group_cols: Sequence[str] = ("tid",),
     and/or denormalised dimension members).
 
     Without ``interval`` a row is one piece (``bucket_start`` 0); with
-    one, a row gives a piece per interval it has points in.
+    one, a row gives a piece per interval it has points in.  An
+    interval not in ``decode.INTERVALS`` raises ``ValueError`` at the
+    call, before any Spark job runs.
     """
+    if interval is not None and interval not in INTERVALS:
+        raise ValueError(f"unsupported interval {interval!r}")
     passthrough = [c for c in group_cols if c != "tid"]
     schema_extra = "".join(f", {c} string" for c in passthrough)
     out_schema = ("tid int, bucket_start long, cnt long, total double, "

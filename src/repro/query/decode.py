@@ -26,6 +26,8 @@ VIEW_COLS = ["tid", "start_time", "si", "size", "mid", "params", "gaps",
              "bitpos", "scaling", "group_size"]
 
 _MS = {"minute": 60_000, "hour": 3_600_000, "day": 86_400_000}
+#: The aggregation intervals of ``CUBE_<AGG>_<INTERVAL>``.
+INTERVALS = (*_MS, "month")
 
 
 def present_count(gaps: int, group_size: int) -> int:

@@ -26,14 +26,16 @@ from . import decode
 _META_CORE = ("tid", "gid", "bitpos", "scaling", "si")
 
 
-def load_tsmeta(spark: SparkSession, store_path: str,
-                with_dims: bool = True) -> DataFrame:
-    """Time Series table with per-group size (needed to unpack models)."""
-    pdf = segment_store.read_tsmeta(store_path)
-    pdf = pdf.merge(pdf.groupby("gid").size().rename("group_size"),
-                    left_on="gid", right_index=True)
-    if not with_dims:
-        pdf = pdf[list(_META_CORE) + ["group_size"]]
+def with_group_size(meta: pd.DataFrame) -> pd.DataFrame:
+    """The Time Series table with each series' ``group_size``, the number
+    of series in its group (needed to unpack models)."""
+    return meta.merge(meta.groupby("gid").size().rename("group_size"),
+                      left_on="gid", right_index=True)
+
+
+def load_tsmeta(spark: SparkSession, store_path: str) -> DataFrame:
+    """Time Series table with per-group size, as a Spark DataFrame."""
+    pdf = with_group_size(segment_store.read_tsmeta(store_path))
     return spark.createDataFrame(pdf.drop(columns=["source"],
                                           errors="ignore"))
 

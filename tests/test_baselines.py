@@ -28,8 +28,7 @@ class TestFormats:
     def test_agg_query_vs_oracle(self, spark, ds, tmp_path):
         path = str(tmp_path / "pq")
         formats.write_format(spark, ds.points, ds.meta, path, "parquet")
-        res = formats.agg_query(spark, path, "parquet",
-                                group_cols=("tid",), aggs=("count",))
+        res = formats.agg_query(spark, path, "parquet", aggs=("count",))
         oracle.assert_equivalent(
             res, "SELECT tid, COUNT(*) AS count_s FROM pts GROUP BY tid",
             pts=ds.points)

@@ -11,8 +11,31 @@ import pandas as pd
 import pytest
 
 from repro import experiments as ex
+from repro.baselines.mdb import MDB_MODEL_TYPES, mdb_meta
+from repro.core.golemm import DEFAULT_MODEL_TYPES, reconstruct_segment
+from repro.core.ingest import ingest_local
 from repro.datasets import ef_like, ep_like, hd_like
 from repro.dims.dimensions import auto_distance
+from repro.dims.grouping import value_based_baseline
+
+
+def reference_points(segments, meta):
+    """Rebuild points one segment column at a time (the reference for
+    ``ex.reconstruct_points``)."""
+    by_gid = {int(g): rows.sort_values("tid")
+              for g, rows in meta.groupby("gid")}
+    frames = []
+    for seg in segments:
+        rows = by_gid[seg.gid]
+        ts, cols, V = reconstruct_segment(seg, len(rows))
+        tids = rows["tid"].to_numpy()
+        scalings = rows["scaling"].to_numpy(np.float64)
+        for j, c in enumerate(cols):
+            frames.append(pd.DataFrame({
+                "tid": np.int32(tids[c]), "ts": ts,
+                "value": (V[:, j].astype(np.float64)
+                          * scalings[c]).astype(np.float32)}))
+    return pd.concat(frames, ignore_index=True)
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +84,24 @@ class TestCompressionTable:
         storage = comp[0]
         assert (storage["avg_error_pct"] <= 10.0 + 1e-6).all()
         eps0 = storage[storage["eps_pct"] == 0.0]
-        assert (eps0["avg_error_pct"] < 1e-3).all()
+        assert (eps0["avg_error_pct"] == 0.0).all()
+
+    def test_error_equals_reference_rebuild(self, ep, comp):
+        """Every system's ε = 10 error, bit for bit, from a rebuild that
+        decodes segment by segment through ``reconstruct_segment``."""
+        systems = {name: (meta, DEFAULT_MODEL_TYPES) for name, (meta, _)
+                   in ex.build_variant_metas(ep).items()}
+        systems["value-baseline"] = (value_based_baseline(ep.meta, ep.points),
+                                     DEFAULT_MODEL_TYPES)
+        systems["MDB"] = (mdb_meta(ep.meta), MDB_MODEL_TYPES)
+        at10 = comp[0][comp[0]["eps_pct"] == 10.0].set_index("system")
+        assert set(at10.index) == set(systems)
+        for name, (meta, model_types) in systems.items():
+            segs = ingest_local(ep.points, meta, 10.0,
+                                model_types=model_types)
+            ref = ex.actual_avg_error_pct(ep.points,
+                                          reference_points(segs, meta))
+            assert at10.loc[name, "avg_error_pct"] == ref, name
 
     def test_higher_eps_less_storage(self, comp):
         storage = comp[0]
@@ -109,7 +149,7 @@ class TestIndustryAndIngestion:
 
 class TestDistanceTable:
     def test_distance_zero_is_singletons(self, ep):
-        t = ex.distance_table(ep, distances=(0.0, 0.25), eps=10.0)
+        t = ex.distance_table(ep, distances=(0.0, 0.25))
         assert t.loc[t["distance"] == 0.0, "groups"].iloc[0] == ep.n_series
         assert (t.loc[t["distance"] == 0.25, "groups"].iloc[0]
                 < ep.n_series)

@@ -7,8 +7,8 @@ import pandas as pd
 import pytest
 
 from repro.core.segment import HEADER_BYTES, Segment, pack, unpack
-from repro.experiments import (actual_avg_error_pct,
-                               reconstruct_points_local, segments_bytes)
+from repro.experiments import (actual_avg_error_pct, reconstruct_points,
+                               segments_bytes)
 from repro.core.ingest import ingest_local, pivot_group
 from repro.core.model_types import MID_PMC_MEAN
 from repro.datasets import ep_like
@@ -51,10 +51,12 @@ class TestSegmentBinary:
     def test_empty_pack(self):
         assert list(unpack(pack([]))) == []
 
-    def test_invalid_start_asserts(self):
+    def test_pack_rejects_inconsistent_start_time(self):
+        # start_time is derived from end_time on read, so it must agree;
+        # an assert would vanish under python -O.
         bad = Segment(1, 1, 1000, 100, 5, MID_PMC_MEAN, 0, b"\0\0\0\0")
-        with pytest.raises(AssertionError):
-            pack([bad])
+        with pytest.raises(ValueError, match="inconsistent"):
+            pack([seg(), bad])
 
 
 class TestStoreLayout:
@@ -134,10 +136,10 @@ class TestErrorMetric:
         # (1 + 1) / (10 + 10) × 100 = 10 %.
         assert actual_avg_error_pct(pts, rec) == pytest.approx(10.0)
 
-    def test_reconstruct_points_local_matches_ingest(self):
+    def test_reconstruct_points_matches_ingest(self):
         ds = ep_like(n_entities=2, n_points=96, seed=41, gap_prob=0.2)
         meta = singleton_groups(ds.meta)
         segs = ingest_local(ds.points, meta, 0.0)
-        rec = reconstruct_points_local(segs, meta)
+        rec = reconstruct_points(segs, meta)
         assert len(rec) == len(ds.points)
         assert actual_avg_error_pct(ds.points, rec) < 1e-4

@@ -378,6 +378,16 @@ class TestTimeAggregates:
             "FROM pts GROUP BY measure_category, bucket_start",
             pts=pts)
 
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_unsupported_interval_rejected_on_call(self, spark, store,
+                                                   grouped_meta, tmp_path,
+                                                   empty):
+        if empty:
+            store = str(tmp_path / "empty")
+            write_store([], grouped_meta, store, n_workers=2)
+        with pytest.raises(ValueError, match="unsupported interval"):
+            cube_agg(segment_view(spark, store), "week")
+
 
 class TestUngroupedStore:
     def test_singleton_pipeline(self, spark, ds, tmp_path):
