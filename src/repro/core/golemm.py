@@ -24,7 +24,9 @@ Ingestion semantics reproduced here:
 
 * **Dynamic splitting/merging** (§IV-D, Algorithm 2): implemented in
   :func:`compress_chunk` via sub-groups with synchronised merge points
-  and doubling backoff; see ``split_merge.py``.
+  and doubling backoff.  Split and merge both cluster with
+  ``split_merge.cluster_within_double_bound``.  A group holds at most
+  ``segment.MAX_GROUP_SIZE`` series, one per gap-mask bit.
 
 The paper lets the user set the length bound and the split fraction;
 this reproduction uses one value of each everywhere, so they are the
@@ -45,7 +47,7 @@ from . import split_merge
 from .fallback import GorillaModel, RawFallback
 from .model_types import ModelType
 from .pmc_mean import PMCMean
-from .segment import HEADER_BYTES, Segment
+from .segment import HEADER_BYTES, MAX_GROUP_SIZE, Segment
 from .swing import Swing
 
 #: Bits per uncompressed data point (64-bit timestamp + 32-bit value, §I).
@@ -193,9 +195,12 @@ def compress_chunk(ts: np.ndarray, V: np.ndarray, delta: np.ndarray,
             st.merge_attempts += 1
             pos = min(next_sync, n_t - 1)
             win = slice(pos, min(pos + LENGTH_BOUND, n_t))
+            # One representative column per sub-group: its series are
+            # already mutually within 2ε, or it would have split.
             reps = [int(g.series[0]) for g in subgroups]
-            clusters = split_merge.representatives_mergeable(
-                V[win], delta[win], reps)
+            clusters = split_merge.cluster_within_double_bound(
+                V[win][:, reps], delta[win][:, reps],
+                np.arange(len(subgroups)))
             if len(clusters) < len(subgroups):
                 merged = []
                 for cluster in clusters:
@@ -224,17 +229,18 @@ def compress_group(ts: np.ndarray, values: np.ndarray, eps_pct: float,
                    stats: Optional[CompressStats] = None) -> List[Segment]:
     """Compress a whole group into storage-ready :class:`Segment` rows.
 
-    ``values`` is a (n_t, n_series) float matrix in sorted-Tid column
-    order, with ``NaN`` marking gaps (regular time series with gaps,
-    §II).  Gap starts/ends force segment boundaries (Fig. 5): the chunk
-    between two mask changes covers a static series subset, recorded in
-    the segment's ``gaps`` bitmask.
+    ``values`` is a (n_t, n_series) float matrix in ``bitpos``
+    (sorted-Tid) column order, with ``NaN`` marking gaps (regular time
+    series with gaps, §II).  Gap starts/ends force segment boundaries
+    (Fig. 5): the chunk between two mask changes covers a static series
+    subset, recorded in the segment's ``gaps`` bitmask.
     """
     ts = np.asarray(ts, dtype=np.int64)
     V = np.asarray(values, dtype=np.float32)
     n_t, n_s = V.shape
-    if n_s > 64:
-        raise ValueError("a group is limited to 64 series (64-bit gap mask)")
+    if n_s > MAX_GROUP_SIZE:
+        raise ValueError(f"a group is limited to {MAX_GROUP_SIZE} series "
+                         "(64-bit gap mask)")
     all_bits = (1 << n_s) - 1
     present = ~np.isnan(V)
     # Boundaries wherever the set of present series changes.

@@ -27,10 +27,10 @@ from .segment import Segment
 
 
 def _group_info(meta: pd.DataFrame) -> Dict[int, dict]:
-    """Per-gid ingestion context captured into the compress closure."""
+    """Per-gid ingestion context, columns in (gap-mask) ``bitpos`` order."""
     info: Dict[int, dict] = {}
     for gid, rows in meta.groupby("gid"):
-        rows = rows.sort_values("tid")
+        rows = rows.sort_values("bitpos")
         info[int(gid)] = {
             "tids": rows["tid"].astype(int).tolist(),
             "scalings": rows["scaling"].astype(float).to_numpy(),

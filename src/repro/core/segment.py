@@ -20,7 +20,9 @@ from typing import Iterator, List
 
 _HDR = struct.Struct("<iqiiBQI")
 HEADER_BYTES = _HDR.size  # 33 bytes of metadata per segment
-_GAP_BITS = (1 << 64) - 1
+#: Most series in one group: one bit each in the 64-bit gap mask (§III-C).
+MAX_GROUP_SIZE = 64
+_GAP_BITS = (1 << MAX_GROUP_SIZE) - 1
 
 
 @dataclass(frozen=True)

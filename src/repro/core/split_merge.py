@@ -8,6 +8,11 @@ which re-clusters the series by whether their buffered data points are
 pairwise within *twice* the user-defined error bound; (ii) split groups
 are re-merged when their representatives are within ``2ε`` again, with a
 doubling backoff on failed merge attempts.
+
+Both steps are one clustering routine, :func:`cluster_within_double_bound`:
+:func:`~repro.core.golemm.compress_chunk` calls it on a sub-group's
+columns to split, and on one representative column per sub-group,
+labelled by sub-group index, to merge.
 """
 from __future__ import annotations
 
@@ -21,49 +26,19 @@ def cluster_within_double_bound(V: np.ndarray, delta: np.ndarray,
     """Algorithm 2's grouping step.
 
     ``V``/``delta`` are (window, n) matrices of buffered values and
-    per-value bounds for the ``n`` series listed (by index) in
-    ``series``.  Returns a partition of ``series``: greedily seed a new
-    group with the first unassigned series and pull in every series
-    whose buffered points are all within the summed bounds (≈ 2ε) of the
-    seed's — mirroring ``allWithinDoubleBound`` in the paper.
+    per-value bounds for the ``n`` columns labelled by ``series``.
+    Returns a partition of ``series``: greedily seed a new cluster with
+    the first unassigned column and pull in every column whose buffered
+    points are all within the summed bounds (≈ 2ε) of the seed's —
+    mirroring ``allWithinDoubleBound`` in the paper.
     """
-    remaining = list(range(V.shape[1]))
+    remaining = np.arange(V.shape[1])
     out: List[np.ndarray] = []
-    while remaining:
-        seed = remaining[0]
-        members = []
-        rest = []
-        for j in remaining:
-            if np.all(np.abs(V[:, j] - V[:, seed]) <=
-                      (delta[:, j] + delta[:, seed])):
-                members.append(j)
-            else:
-                rest.append(j)
-        out.append(series[np.asarray(members, dtype=np.int64)])
-        remaining = rest
+    while len(remaining):
+        seed = remaining[:1]
+        near = (np.abs(V[:, remaining] - V[:, seed])
+                <= delta[:, remaining] + delta[:, seed]).all(axis=0)
+        near[0] = True  # the seed, even when inf - inf is NaN
+        out.append(series[remaining[near]])
+        remaining = remaining[~near]
     return out
-
-
-def representatives_mergeable(V: np.ndarray, delta: np.ndarray,
-                              reps: List[int]) -> List[List[int]]:
-    """Merge check over one representative per split group (§IV-D).
-
-    Only one series per group is compared because each group's series
-    are already mutually correlated (otherwise a split would have
-    occurred).  Returns clusters over group indices.
-    """
-    remaining = list(range(len(reps)))
-    clusters: List[List[int]] = []
-    while remaining:
-        seed_g = remaining[0]
-        members, rest = [], []
-        for g in remaining:
-            a, b = reps[seed_g], reps[g]
-            if np.all(np.abs(V[:, b] - V[:, a]) <=
-                      (delta[:, b] + delta[:, a])):
-                members.append(g)
-            else:
-                rest.append(g)
-        clusters.append(members)
-        remaining = rest
-    return clusters

@@ -2,14 +2,19 @@
 
 :func:`group_time_series` reproduces Algorithm 1: start from singleton
 groups and, for each correlation clause in user order, merge group pairs
-whose union satisfies the clause until a fixed point.  Because
-``correlated`` checks *all* series of both groups, the result is a
-clique partition — correlation is not transitive — without
-materialising the full correlation graph.
+whose union satisfies the clause.  Because ``correlated`` checks *all*
+series of both groups, the result is a clique partition — correlation is
+not transitive — without materialising the full correlation graph.  One
+pass per clause reaches the fixed point, because every atom is monotone
+(see :class:`~repro.dims.primitives.Atom`): a pair rejected once is
+rejected for any supersets of its groups, and groups only grow.
 
 :func:`value_based_baseline` is the evaluation's offline baseline that
 groups series with equal (rounded) min and max values, splitting groups
-larger than 64 series (the gap-bitmask width).
+larger than ``MAX_GROUP_SIZE`` series (the gap-bitmask width).
+
+Every grouping returns through :func:`_assign`, the one place that
+turns groups into ``gid`` and ``bitpos``.
 """
 from __future__ import annotations
 
@@ -19,10 +24,24 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 import pandas as pd
 
+from ..core.segment import MAX_GROUP_SIZE
 from .dimensions import Dimension
 from .primitives import Clause
 
-MAX_GROUP_SIZE = 64  # 64-bit gap bitmask (paper §III-C)
+
+def _assign(meta: pd.DataFrame, groups: Sequence[Sequence[int]]
+            ) -> pd.DataFrame:
+    """``meta`` + ``gid`` (1-based, in group order) and ``bitpos`` (the
+    rank of the series' Tid within its group — the bit it occupies in
+    segment gap masks).  ``groups`` lists row positions of ``meta``."""
+    out = meta.reset_index(drop=True).copy()
+    gid = np.zeros(len(out), dtype=np.int64)
+    for g, rows in enumerate(groups, start=1):
+        gid[rows] = g
+    out["gid"] = gid
+    out["bitpos"] = (out.groupby("gid")["tid"].rank(method="first")
+                     .astype(np.int64) - 1)
+    return out
 
 
 def group_time_series(meta: pd.DataFrame, dims: Sequence[Dimension],
@@ -30,48 +49,30 @@ def group_time_series(meta: pd.DataFrame, dims: Sequence[Dimension],
                       ) -> Tuple[pd.DataFrame, float]:
     """Assign every series a ``gid`` and ``bitpos`` (Algorithm 1).
 
-    Returns ``(meta + [gid, bitpos], grouping_seconds)``.  ``bitpos`` is
-    the series' position in its group's sorted-Tid order — the bit it
-    occupies in segment gap masks.
+    Returns ``(meta + [gid, bitpos], grouping_seconds)``.
     """
     t0 = time.perf_counter()
     meta = meta.reset_index(drop=True)
     groups: List[List[int]] = [[i] for i in range(len(meta))]
     for cl in clauses:
-        modified = True
-        while modified:
-            modified = False
-            i = 0
-            while i < len(groups):
-                j = i + 1
-                while j < len(groups):
-                    a, b = groups[i], groups[j]
-                    if (len(a) + len(b) <= MAX_GROUP_SIZE
-                            and cl.correlated(meta, dims, a, b)):
-                        groups[i] = a + b
-                        del groups[j]
-                        modified = True
-                    else:
-                        j += 1
-                i += 1
-    out = meta.copy()
-    out["gid"] = 0
-    out["bitpos"] = 0
-    for gid, rows in enumerate(groups, start=1):
-        tids = sorted(int(meta["tid"].iloc[r]) for r in rows)
-        order = {t: k for k, t in enumerate(tids)}
-        for r in rows:
-            out.loc[r, "gid"] = gid
-            out.loc[r, "bitpos"] = order[int(meta["tid"].iloc[r])]
-    return out, time.perf_counter() - t0
+        i = 0
+        while i < len(groups):
+            j = i + 1
+            while j < len(groups):
+                a, b = groups[i], groups[j]
+                if (len(a) + len(b) <= MAX_GROUP_SIZE
+                        and cl.correlated(meta, dims, a, b)):
+                    groups[i] = a + b
+                    del groups[j]
+                else:
+                    j += 1
+            i += 1
+    return _assign(meta, groups), time.perf_counter() - t0
 
 
 def singleton_groups(meta: pd.DataFrame) -> pd.DataFrame:
     """Grouping disabled (MDB+-G): every series is its own group."""
-    out = meta.reset_index(drop=True).copy()
-    out["gid"] = np.arange(1, len(out) + 1)
-    out["bitpos"] = 0
-    return out
+    return _assign(meta, [[i] for i in range(len(meta))])
 
 
 def value_based_baseline(meta: pd.DataFrame, points: pd.DataFrame
@@ -83,23 +84,13 @@ def value_based_baseline(meta: pd.DataFrame, points: pd.DataFrame
     above the bitmask width are split.
     """
     stats = points.groupby("tid")["value"].agg(["min", "max"]).round()
-    key = list(zip(stats["min"], stats["max"]))
+    row = {int(t): i for i, t in enumerate(meta["tid"])}
     by_key: Dict[tuple, List[int]] = {}
-    for tid, k in zip(stats.index, key):
-        by_key.setdefault(k, []).append(int(tid))
-    out = meta.reset_index(drop=True).copy()
-    out["gid"] = 0
-    out["bitpos"] = 0
-    tid_to_row = {int(t): i for i, t in enumerate(out["tid"])}
-    gid = 0
-    for _, tids in sorted(by_key.items()):
-        for chunk_start in range(0, len(tids), MAX_GROUP_SIZE):
-            gid += 1
-            chunk = sorted(tids[chunk_start:chunk_start + MAX_GROUP_SIZE])
-            for k, tid in enumerate(chunk):
-                out.loc[tid_to_row[tid], "gid"] = gid
-                out.loc[tid_to_row[tid], "bitpos"] = k
-    return out
+    for tid, k in zip(stats.index, zip(stats["min"], stats["max"])):
+        by_key.setdefault(k, []).append(row[int(tid)])
+    return _assign(meta, [rows[s:s + MAX_GROUP_SIZE]
+                          for _, rows in sorted(by_key.items())
+                          for s in range(0, len(rows), MAX_GROUP_SIZE)])
 
 
 def group_summary(meta: pd.DataFrame) -> Tuple[int, float]:

@@ -17,6 +17,8 @@ OR.  Atoms:
 * :class:`Distance` — dimension distance ≤ threshold ∈ [0, 1], with
   optional per-dimension weights; ``Distance.auto(dims)`` resolves the
   paper's ``auto`` to the lowest non-zero distance.
+
+An atom naming an unknown dimension or level raises ``ValueError``.
 """
 from __future__ import annotations
 
@@ -28,7 +30,21 @@ import pandas as pd
 from .dimensions import Dimension, auto_distance, distance, lca_level
 
 
+def find_dimension(dims: Sequence[Dimension], name: str) -> Dimension:
+    """The dimension called ``name``; ``ValueError`` if ``dims`` has none."""
+    for d in dims:
+        if d.name == name:
+            return d
+    raise ValueError(f"unknown dimension {name!r}; "
+                     f"known: {[d.name for d in dims]}")
+
+
 class Atom:
+    """A condition on the union of two groups.  It must be monotone: a
+    rejected union stays rejected when either group grows, which
+    Algorithm 1's one pass per clause relies on.  A larger union has a
+    shallower LCA, a larger distance and less uniform sources/members."""
+
     def correlated(self, meta: pd.DataFrame, dims: Sequence[Dimension],
                    rows_a, rows_b) -> bool:
         raise NotImplementedError
@@ -51,7 +67,7 @@ class Member(Atom):
     member: str
 
     def correlated(self, meta, dims, rows_a, rows_b):
-        dim = next(d for d in dims if d.name == self.dimension)
+        dim = find_dimension(dims, self.dimension)
         col = dim.column_for_level(self.level)
         vals = set(meta[col].iloc[list(rows_a) + list(rows_b)])
         return vals == {self.member}
@@ -63,13 +79,11 @@ class Level(Atom):
     level: int  # >=1: LCA >= level; 0: all equal; -k: all but lowest k equal
 
     def correlated(self, meta, dims, rows_a, rows_b):
-        dim = next(d for d in dims if d.name == self.dimension)
-        if self.level > 0:
-            need = self.level
-        elif self.level == 0:
-            need = dim.n_levels
-        else:
-            need = dim.n_levels + self.level  # all but lowest |level|
+        dim = find_dimension(dims, self.dimension)
+        if not -dim.n_levels <= self.level <= dim.n_levels:
+            raise ValueError(f"level {self.level} outside "
+                             f"-{dim.n_levels}..{dim.n_levels} of {dim.name}")
+        need = self.level if self.level > 0 else dim.n_levels + self.level
         return lca_level(meta, dim, rows_a, rows_b) >= need
 
 
@@ -84,6 +98,8 @@ class Distance(Atom):
         return Distance(auto_distance(dims), weights)
 
     def correlated(self, meta, dims, rows_a, rows_b):
+        for name in self.weights or ():
+            find_dimension(dims, name)
         return distance(meta, dims, rows_a, rows_b,
                         self.weights) <= self.threshold + 1e-12
 

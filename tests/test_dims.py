@@ -1,8 +1,13 @@
 """Tests for dimensions, LCA, distance, primitives, Algorithm 1, partitioner."""
+from itertools import combinations
+
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core.segment import MAX_GROUP_SIZE
 from repro.datasets import EF_DIMS, EP_DIMS, ef_like, ep_like, hd_like
 from repro.dims.dimensions import (Dimension, auto_distance, distance,
                                    lca_level)
@@ -105,6 +110,19 @@ class TestPrimitives:
         assert c.correlated(running_example, [LOC], [0], [2])
         assert not c.correlated(running_example, [LOC], [0], [3])
 
+    @pytest.mark.parametrize("atom", [
+        Member("Place", 1, "DK"), Level("Place", 1),
+        Distance(0.5, {"Place": 2.0})], ids=["member", "level", "weights"])
+    def test_unknown_dimension_rejected(self, running_example, atom):
+        with pytest.raises(ValueError, match="Place"):
+            group_time_series(running_example, [LOC], [clause(atom)])
+
+    @pytest.mark.parametrize("level", [5, -5])
+    def test_level_outside_hierarchy_rejected(self, running_example, level):
+        with pytest.raises(ValueError, match=str(level)):
+            group_time_series(running_example, [LOC],
+                              [clause(Level("Location", level))])
+
 
 class TestAlgorithm1:
     def test_groups_turbines_in_same_park(self, running_example):
@@ -156,6 +174,79 @@ class TestAlgorithm1:
         assert avg > 1.0
 
 
+def assert_bitpos_is_tid_rank(meta):
+    for _, g in meta.groupby("gid"):
+        assert g.sort_values("tid")["bitpos"].tolist() == list(range(len(g)))
+
+
+SITE_KIND = (Dimension("Site", ("region", "site")),
+             Dimension("Kind", ("family", "kind")))
+
+
+def _site_kind_meta(rows, tids):
+    """One series per (region, site, family, kind, source) index tuple;
+    a lower-level member names its parent, so the hierarchy holds."""
+    return pd.DataFrame({
+        "tid": tids, "source": [f"s{r[4]}" for r in rows],
+        "si": 100, "scaling": 1.0,
+        "region": [f"r{r[0]}" for r in rows],
+        "site": [f"r{r[0]}.{r[1]}" for r in rows],
+        "family": [f"f{r[2]}" for r in rows],
+        "kind": [f"f{r[2]}.{r[3]}" for r in rows],
+    })
+
+
+@st.composite
+def site_kind_metas(draw):
+    n = draw(st.integers(1, 80))
+    rows = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2),
+                                   st.integers(0, 1), st.integers(0, 2),
+                                   st.integers(0, 3)),
+                         min_size=n, max_size=n))
+    tids = draw(st.permutations(range(1, len(rows) + 1)))
+    return _site_kind_meta(rows, tids)
+
+
+def _member(dim, level, parent, child):
+    prefix = "r" if dim == "Site" else "f"
+    name = f"{prefix}{parent}" if level == 1 else f"{prefix}{parent}.{child}"
+    return Member(dim, level, name)
+
+
+_dim_names = st.sampled_from(["Site", "Kind"])
+_atoms = st.one_of(
+    st.sets(st.sampled_from(["s0", "s1", "s2", "s3"]), min_size=1)
+    .map(lambda s: Sources(tuple(sorted(s)))),
+    st.builds(_member, _dim_names, st.integers(1, 2), st.integers(0, 1),
+              st.integers(0, 2)),
+    st.builds(Level, _dim_names, st.integers(-2, 2)),
+    st.builds(Distance, st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+              st.none() | st.dictionaries(_dim_names,
+                                          st.sampled_from([0.5, 2.0]))))
+_clause_lists = st.lists(
+    st.lists(_atoms, min_size=1, max_size=2).map(lambda a: clause(*a)),
+    min_size=1, max_size=3)
+
+
+class TestAlgorithm1FixedPoint:
+    @settings(max_examples=30, deadline=None)
+    @given(site_kind_metas(), _clause_lists)
+    @example(_site_kind_meta([(0, 0, 0, 0, 0)] * 80, list(range(80, 0, -1))),
+             [clause(Distance(1.0))])
+    def test_no_final_pair_mergeable(self, meta, clauses):
+        """One pass per clause leaves no pair of groups that any clause
+        would merge within the group-size cap."""
+        out, _ = group_time_series(meta, SITE_KIND, clauses)
+        groups = [r.tolist() for r in out.groupby("gid").indices.values()]
+        assert sorted(out["gid"].unique()) == list(range(1, len(groups) + 1))
+        assert max(len(g) for g in groups) <= MAX_GROUP_SIZE
+        for cl in clauses:
+            for a, b in combinations(groups, 2):
+                assert not (len(a) + len(b) <= MAX_GROUP_SIZE
+                            and cl.correlated(out, SITE_KIND, a, b))
+        assert_bitpos_is_tid_rank(out)
+
+
 class TestSingletonAndBaseline:
     def test_singleton_groups(self, running_example):
         out = singleton_groups(running_example)
@@ -185,6 +276,7 @@ class TestSingletonAndBaseline:
         out = value_based_baseline(meta, points)
         sizes = out.groupby("gid").size()
         assert sizes.max() <= 64 and len(sizes) == 3
+        assert_bitpos_is_tid_rank(out)
 
 
 class TestPartitioner:

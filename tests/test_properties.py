@@ -99,6 +99,15 @@ class TestClusterProperties:
         flat = sorted(int(x) for c in clusters for x in c)
         assert flat == list(range(n_series))
 
+    def test_infinite_seed_still_clustered(self):
+        """inf - inf is NaN, so the seed's comparison with itself fails;
+        the seed must still join its own cluster (it looped forever)."""
+        V = np.array([[np.inf, 1.0], [np.inf, 2.0]], dtype=np.float32)
+        with np.errstate(invalid="ignore"):
+            clusters = cluster_within_double_bound(V, np.abs(V) * 0.1,
+                                                   np.arange(2))
+        assert sorted(int(x) for c in clusters for x in c) == [0, 1]
+
     def test_identical_series_single_cluster(self):
         V = np.ones((10, 5), dtype=np.float32)
         clusters = cluster_within_double_bound(V, V * 0.01, np.arange(5))
