@@ -10,17 +10,20 @@ Example (running example in the paper): ``Location`` with levels
 ``Country (1) → Region (2) → Park (3) → Turbine (4)`` is
 ``Dimension("Location", ("country", "region", "park", "turbine"))``.
 
-The Lowest Common Ancestor (LCA) level of two sets of series is the
-deepest level at which *all* series share members starting from ⊤
-(paper Fig. 7); it drives the dimension distance used for automatic
-grouping (§IV-B/C).
+Grouping sees a set of series only through its *member sets*: column →
+the members the series take there; a union of groups has the unions of
+their sets.  Its Lowest Common Ancestor (LCA) level is the deepest level
+down to which every level's set holds one member (paper Fig. 7); the LCA
+drives the dimension distance used for automatic grouping (§IV-B/C).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, FrozenSet, Mapping, Sequence, Tuple
 
 import pandas as pd
+
+MemberSets = Mapping[str, FrozenSet]
 
 
 @dataclass(frozen=True)
@@ -41,25 +44,23 @@ class Dimension:
         return self.columns[level - 1]
 
 
-def lca_level(meta: pd.DataFrame, dim: Dimension, rows_a, rows_b) -> int:
-    """Deepest level where all series of both groups share members.
-
-    ``rows_a``/``rows_b`` are index arrays into ``meta``.  Returns 0 when
-    only ⊤ is shared.
-    """
-    lca = 0
-    for level in range(1, dim.n_levels + 1):
-        col = dim.column_for_level(level)
-        vals = set(meta[col].iloc[rows_a]) | set(meta[col].iloc[rows_b])
-        if len(vals) != 1:
-            break
-        lca = level
-    return lca
+def member_sets(meta: pd.DataFrame, rows: Sequence[int],
+                dims: Sequence[Dimension]) -> Dict[str, FrozenSet]:
+    """Member sets of the series at row positions ``rows`` of ``meta``
+    over the columns atoms read: ``source`` and those of ``dims``."""
+    cols = ["source"] + [c for d in dims for c in d.columns]
+    return {c: frozenset(meta[c].to_numpy()[rows]) for c in cols}
 
 
-def distance(meta: pd.DataFrame, dims: Sequence[Dimension], rows_a, rows_b,
+def lca_level(sets: MemberSets, dim: Dimension) -> int:
+    """Deepest level of ``dim`` down to which ``sets`` hold one member."""
+    shared = [len(sets[c]) == 1 for c in dim.columns] + [False]
+    return shared.index(False)
+
+
+def distance(sets: MemberSets, dims: Sequence[Dimension],
              weights: Dict[str, float] | None = None) -> float:
-    """Dimension distance between two groups (§IV-C).
+    """Dimension distance of the series of ``sets`` (§IV-C).
 
     ``dist = (Σ_d w_d · (levels_d − lca_d)/levels_d) / |D|`` capped at
     1.0, where ``w_d`` is the *reciprocal* of the user-provided weight
@@ -70,8 +71,7 @@ def distance(meta: pd.DataFrame, dims: Sequence[Dimension], rows_a, rows_b,
     total = 0.0
     for dim in dims:
         w = 1.0 / float(weights.get(dim.name, 1.0))
-        lca = lca_level(meta, dim, rows_a, rows_b)
-        total += w * (dim.n_levels - lca) / dim.n_levels
+        total += w * (dim.n_levels - lca_level(sets, dim)) / dim.n_levels
     return min(total / len(dims), 1.0)
 
 

@@ -2,12 +2,11 @@
 
 :func:`group_time_series` reproduces Algorithm 1: start from singleton
 groups and, for each correlation clause in user order, merge group pairs
-whose union satisfies the clause.  Because ``correlated`` checks *all*
-series of both groups, the result is a clique partition — correlation is
-not transitive — without materialising the full correlation graph.  One
-pass per clause reaches the fixed point, because every atom is monotone
-(see :class:`~repro.dims.primitives.Atom`): a pair rejected once is
-rejected for any supersets of its groups, and groups only grow.
+whose union satisfies the clause, judged from the unions of the groups'
+member sets.  As the union covers *all* series of both groups, the result
+is a clique partition — correlation is not transitive — without the full
+correlation graph.  One pass per clause reaches the fixed point, because
+every atom is monotone (see :class:`~repro.dims.primitives.Atom`).
 
 :func:`value_based_baseline` is the evaluation's offline baseline that
 groups series with equal (rounded) min and max values, splitting groups
@@ -25,7 +24,7 @@ import numpy as np
 import pandas as pd
 
 from ..core.segment import MAX_GROUP_SIZE
-from .dimensions import Dimension
+from .dimensions import Dimension, member_sets
 from .primitives import Clause
 
 
@@ -53,17 +52,19 @@ def group_time_series(meta: pd.DataFrame, dims: Sequence[Dimension],
     """
     t0 = time.perf_counter()
     meta = meta.reset_index(drop=True)
-    groups: List[List[int]] = [[i] for i in range(len(meta))]
-    for cl in clauses:
+    tests = [cl.resolve(dims) for cl in clauses]
+    groups = [[i] for i in range(len(meta))]
+    sets = [member_sets(meta, [i], dims) for i in range(len(meta))]
+    for test in tests:
         i = 0
         while i < len(groups):
             j = i + 1
             while j < len(groups):
                 a, b = groups[i], groups[j]
-                if (len(a) + len(b) <= MAX_GROUP_SIZE
-                        and cl.correlated(meta, dims, a, b)):
-                    groups[i] = a + b
-                    del groups[j]
+                union = {c: s | sets[j][c] for c, s in sets[i].items()}
+                if len(a) + len(b) <= MAX_GROUP_SIZE and test(union):
+                    groups[i], sets[i] = a + b, union
+                    del groups[j], sets[j]
                 else:
                     j += 1
             i += 1

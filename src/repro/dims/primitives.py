@@ -18,14 +18,14 @@ OR.  Atoms:
   optional per-dimension weights; ``Distance.auto(dims)`` resolves the
   paper's ``auto`` to the lowest non-zero distance.
 
-An atom naming an unknown dimension or level raises ``ValueError``.
+An atom is resolved once, before any pair is judged, to a test over the
+member sets of a union of groups; an unknown dimension, a level outside
+its hierarchy or a weight outside (0, ∞) raises ``ValueError`` there.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
-
-import pandas as pd
 
 from .dimensions import Dimension, auto_distance, distance, lca_level
 
@@ -40,13 +40,12 @@ def find_dimension(dims: Sequence[Dimension], name: str) -> Dimension:
 
 
 class Atom:
-    """A condition on the union of two groups.  It must be monotone: a
-    rejected union stays rejected when either group grows, which
-    Algorithm 1's one pass per clause relies on.  A larger union has a
-    shallower LCA, a larger distance and less uniform sources/members."""
+    """A condition on a union of two groups, which :meth:`resolve` turns
+    into a test over the union's member sets.  Algorithm 1's one pass per
+    clause needs it monotone (a rejected union stays rejected when a group
+    grows); it is, as a test asks for small member sets, which only grow."""
 
-    def correlated(self, meta: pd.DataFrame, dims: Sequence[Dimension],
-                   rows_a, rows_b) -> bool:
+    def resolve(self, dims: Sequence[Dimension]):
         raise NotImplementedError
 
 
@@ -54,10 +53,9 @@ class Atom:
 class Sources(Atom):
     sources: Tuple[str, ...]
 
-    def correlated(self, meta, dims, rows_a, rows_b):
-        want = set(self.sources)
-        got = set(meta["source"].iloc[list(rows_a) + list(rows_b)])
-        return got <= want
+    def resolve(self, dims):
+        want = frozenset(self.sources)
+        return lambda sets: sets["source"] <= want
 
 
 @dataclass(frozen=True)
@@ -66,11 +64,10 @@ class Member(Atom):
     level: int
     member: str
 
-    def correlated(self, meta, dims, rows_a, rows_b):
-        dim = find_dimension(dims, self.dimension)
-        col = dim.column_for_level(self.level)
-        vals = set(meta[col].iloc[list(rows_a) + list(rows_b)])
-        return vals == {self.member}
+    def resolve(self, dims):
+        col = find_dimension(dims, self.dimension).column_for_level(self.level)
+        want = frozenset((self.member,))
+        return lambda sets: sets[col] == want
 
 
 @dataclass(frozen=True)
@@ -78,13 +75,13 @@ class Level(Atom):
     dimension: str
     level: int  # >=1: LCA >= level; 0: all equal; -k: all but lowest k equal
 
-    def correlated(self, meta, dims, rows_a, rows_b):
+    def resolve(self, dims):
         dim = find_dimension(dims, self.dimension)
         if not -dim.n_levels <= self.level <= dim.n_levels:
             raise ValueError(f"level {self.level} outside "
                              f"-{dim.n_levels}..{dim.n_levels} of {dim.name}")
         need = self.level if self.level > 0 else dim.n_levels + self.level
-        return lca_level(meta, dim, rows_a, rows_b) >= need
+        return lambda sets: lca_level(sets, dim) >= need
 
 
 @dataclass(frozen=True)
@@ -97,11 +94,13 @@ class Distance(Atom):
              weights: Optional[Dict[str, float]] = None) -> "Distance":
         return Distance(auto_distance(dims), weights)
 
-    def correlated(self, meta, dims, rows_a, rows_b):
-        for name in self.weights or ():
+    def resolve(self, dims):
+        for name, w in (self.weights or {}).items():
             find_dimension(dims, name)
-        return distance(meta, dims, rows_a, rows_b,
-                        self.weights) <= self.threshold + 1e-12
+            if not 0 < float(w) < float("inf"):
+                raise ValueError(f"weight of {name!r} must be in (0, ∞): {w}")
+        limit = self.threshold + 1e-12
+        return lambda sets: distance(sets, dims, self.weights) <= limit
 
 
 @dataclass(frozen=True)
@@ -110,9 +109,9 @@ class Clause:
 
     atoms: Tuple[Atom, ...]
 
-    def correlated(self, meta, dims, rows_a, rows_b) -> bool:
-        return all(a.correlated(meta, dims, rows_a, rows_b)
-                   for a in self.atoms)
+    def resolve(self, dims):
+        tests = [a.resolve(dims) for a in self.atoms]
+        return lambda sets: all(t(sets) for t in tests)
 
 
 def clause(*atoms: Atom) -> Clause:

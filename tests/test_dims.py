@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.core.segment import MAX_GROUP_SIZE
 from repro.datasets import EF_DIMS, EP_DIMS, ef_like, ep_like, hd_like
 from repro.dims.dimensions import (Dimension, auto_distance, distance,
-                                   lca_level)
+                                   lca_level, member_sets)
 from repro.dims.grouping import (group_summary, group_time_series,
                                  singleton_groups, value_based_baseline)
 from repro.dims.partitioner import (data_points_per_minute, load_spread,
@@ -18,6 +18,11 @@ from repro.dims.partitioner import (data_points_per_minute, load_spread,
 from repro.dims.primitives import (Distance, Level, Member, Sources, clause)
 
 LOC = Dimension("Location", ("country", "region", "park", "turbine"))
+
+
+def holds(c, meta, rows, dims=(LOC,)):
+    """Whether clause ``c`` accepts the union of the series at ``rows``."""
+    return c.resolve(dims)(member_sets(meta, rows, dims))
 
 
 @pytest.fixture
@@ -38,25 +43,26 @@ def running_example():
 class TestLCA:
     def test_same_park_lca_is_park_level(self, running_example):
         # Paper Fig. 7: LCA for Tid=2 and Tid=3 is the Park level (3).
-        assert lca_level(running_example, LOC, [1], [2]) == 3
+        assert lca_level(member_sets(running_example, [1, 2], [LOC]), LOC) == 3
 
     def test_same_series_lca_is_lowest_level(self, running_example):
-        assert lca_level(running_example, LOC, [0], [0]) == 4
+        assert lca_level(member_sets(running_example, [0], [LOC]), LOC) == 4
 
     def test_different_country_lca_is_top(self, running_example):
-        assert lca_level(running_example, LOC, [0], [3]) == 0
+        assert lca_level(member_sets(running_example, [0, 3], [LOC]), LOC) == 0
 
     def test_distance_matches_paper_example(self, running_example):
         # dist = 1 × ((4 − 3)/4) = 0.25 for Tid=2 vs Tid=3 (§IV-C).
-        d = distance(running_example, [LOC], [1], [2])
+        d = distance(member_sets(running_example, [1, 2], [LOC]), [LOC])
         assert d == pytest.approx(0.25)
 
     def test_weight_reduces_distance(self, running_example):
-        d = distance(running_example, [LOC], [1], [2], weights={"Location": 2})
+        d = distance(member_sets(running_example, [1, 2], [LOC]), [LOC],
+                     weights={"Location": 2})
         assert d == pytest.approx(0.125)
 
     def test_distance_capped_at_one(self, running_example):
-        d = distance(running_example, [LOC], [0], [3],
+        d = distance(member_sets(running_example, [0, 3], [LOC]), [LOC],
                      weights={"Location": 0.5})
         assert d == 1.0
 
@@ -75,53 +81,68 @@ class TestLCA:
 class TestPrimitives:
     def test_sources_atom(self, running_example):
         c = clause(Sources(("a.gz", "b.gz")))
-        assert c.correlated(running_example, [LOC], [0], [1])
-        assert not c.correlated(running_example, [LOC], [0], [2])
+        assert holds(c, running_example, [0, 1])
+        assert not holds(c, running_example, [0, 2])
 
     def test_member_atom(self, running_example):
         c = clause(Member("Location", 3, "Aalborg"))
-        assert c.correlated(running_example, [LOC], [0], [1])
-        assert not c.correlated(running_example, [LOC], [0], [3])
+        assert holds(c, running_example, [0, 1])
+        assert not holds(c, running_example, [0, 3])
 
     def test_level_atom_positive(self, running_example):
         c = clause(Level("Location", 2))
-        assert c.correlated(running_example, [LOC], [0], [2])
-        assert not c.correlated(running_example, [LOC], [0], [3])
+        assert holds(c, running_example, [0, 2])
+        assert not holds(c, running_example, [0, 3])
 
     def test_level_atom_zero_means_all_levels(self, running_example):
         c = clause(Level("Location", 0))
         # Distinct turbines → level 4 differs → not correlated.
-        assert not c.correlated(running_example, [LOC], [0], [1])
+        assert not holds(c, running_example, [0, 1])
 
     def test_level_atom_negative(self, running_example):
         # -1: all but the lowest level (turbine) must be equal.
         c = clause(Level("Location", -1))
-        assert c.correlated(running_example, [LOC], [0], [1])
-        assert not c.correlated(running_example, [LOC], [0], [3])
+        assert holds(c, running_example, [0, 1])
+        assert not holds(c, running_example, [0, 3])
 
     def test_distance_atom(self, running_example):
-        assert clause(Distance(0.25)).correlated(
-            running_example, [LOC], [0], [1])
-        assert not clause(Distance(0.1)).correlated(
-            running_example, [LOC], [0], [3])
+        assert holds(clause(Distance(0.25)), running_example, [0, 1])
+        assert not holds(clause(Distance(0.1)), running_example, [0, 3])
 
     def test_and_combination(self, running_example):
         c = clause(Member("Location", 1, "DK"), Level("Location", 3))
-        assert c.correlated(running_example, [LOC], [0], [2])
-        assert not c.correlated(running_example, [LOC], [0], [3])
+        assert holds(c, running_example, [0, 2])
+        assert not holds(c, running_example, [0, 3])
 
-    @pytest.mark.parametrize("atom", [
-        Member("Place", 1, "DK"), Level("Place", 1),
-        Distance(0.5, {"Place": 2.0})], ids=["member", "level", "weights"])
-    def test_unknown_dimension_rejected(self, running_example, atom):
+    @pytest.mark.parametrize("atoms, n_series", [
+        ((Member("Place", 1, "DK"),), 4), ((Level("Place", 1),), 4),
+        ((Distance(0.5, {"Place": 2.0}),), 4),
+        ((Member("Place", 1, "DK"),), 1),
+        ((Sources(("zzz",)), Member("Place", 1, "DK")), 2)],
+        ids=["member", "level", "weights", "one-series", "after-sources"])
+    def test_unknown_dimension_rejected(self, running_example, atoms,
+                                        n_series):
+        """Every atom is checked before the first pair, also one that no
+        pair reaches."""
         with pytest.raises(ValueError, match="Place"):
-            group_time_series(running_example, [LOC], [clause(atom)])
+            group_time_series(running_example.head(n_series), [LOC],
+                              [clause(*atoms)])
 
-    @pytest.mark.parametrize("level", [5, -5])
-    def test_level_outside_hierarchy_rejected(self, running_example, level):
-        with pytest.raises(ValueError, match=str(level)):
+    @pytest.mark.parametrize("levels", [(5,), (-5,), (0, 9)],
+                             ids=["5", "-5", "after-valid"])
+    def test_level_outside_hierarchy_rejected(self, running_example, levels):
+        with pytest.raises(ValueError, match=str(levels[-1])):
             group_time_series(running_example, [LOC],
-                              [clause(Level("Location", level))])
+                              [clause(*(Level("Location", k)
+                                        for k in levels))])
+
+    @pytest.mark.parametrize("weight", [0.0, -1.0, np.inf, np.nan],
+                             ids=["zero", "negative", "inf", "nan"])
+    def test_weight_outside_positive_finite_rejected(self, weight):
+        ds = ep_like(n_entities=2, n_points=16)
+        with pytest.raises(ValueError, match="Production"):
+            group_time_series(ds.meta, list(ds.dims),
+                              [clause(Distance(0.25, {"Production": weight}))])
 
 
 class TestAlgorithm1:
@@ -235,7 +256,8 @@ class TestAlgorithm1FixedPoint:
              [clause(Distance(1.0))])
     def test_no_final_pair_mergeable(self, meta, clauses):
         """One pass per clause leaves no pair of groups that any clause
-        would merge within the group-size cap."""
+        would merge within the group-size cap, and each group of two or
+        more series satisfies, as a whole, the clause of its last merge."""
         out, _ = group_time_series(meta, SITE_KIND, clauses)
         groups = [r.tolist() for r in out.groupby("gid").indices.values()]
         assert sorted(out["gid"].unique()) == list(range(1, len(groups) + 1))
@@ -243,7 +265,10 @@ class TestAlgorithm1FixedPoint:
         for cl in clauses:
             for a, b in combinations(groups, 2):
                 assert not (len(a) + len(b) <= MAX_GROUP_SIZE
-                            and cl.correlated(out, SITE_KIND, a, b))
+                            and holds(cl, out, a + b, SITE_KIND))
+        for g in groups:
+            assert len(g) == 1 or any(holds(cl, out, g, SITE_KIND)
+                                      for cl in clauses)
         assert_bitpos_is_tid_rank(out)
 
 
