@@ -38,6 +38,11 @@ def _driver_mem() -> str:
 
 
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
+# pytest puts ``src`` on this process's path (pyproject.toml); Spark's
+# Python workers import ``repro`` too, so they get it from PYTHONPATH.
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [
+    os.path.join(os.path.dirname(os.path.abspath(__file__)), "src"),
+    os.environ.get("PYTHONPATH")]))
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",
     f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "

@@ -45,9 +45,9 @@ import numpy as np
 
 from . import split_merge
 from .fallback import GorillaModel, RawFallback
-from .model_types import ModelType
+from .model_types import ModelType, by_mid
 from .pmc_mean import PMCMean
-from .segment import HEADER_BYTES, MAX_GROUP_SIZE, Segment
+from .segment import HEADER_BYTES, MAX_GROUP_SIZE, Segment, gap_mask
 from .swing import Swing
 
 #: Bits per uncompressed data point (64-bit timestamp + 32-bit value, §I).
@@ -241,7 +241,6 @@ def compress_group(ts: np.ndarray, values: np.ndarray, eps_pct: float,
     if n_s > MAX_GROUP_SIZE:
         raise ValueError(f"a group is limited to {MAX_GROUP_SIZE} series "
                          "(64-bit gap mask)")
-    all_bits = (1 << n_s) - 1
     present = ~np.isnan(V)
     # Boundaries wherever the set of present series changes.
     change = np.ones(n_t, dtype=bool)
@@ -250,8 +249,7 @@ def compress_group(ts: np.ndarray, values: np.ndarray, eps_pct: float,
 
     segments: List[Segment] = []
     for b0, b1 in zip(bounds, bounds[1:]):
-        mask = present[b0]
-        cols = np.flatnonzero(mask)
+        cols = np.flatnonzero(present[b0])
         if len(cols) == 0:
             continue  # every series is in a gap: nothing to store
         sub_v = V[b0:b1][:, cols]
@@ -259,11 +257,10 @@ def compress_group(ts: np.ndarray, values: np.ndarray, eps_pct: float,
         emitted = compress_chunk(ts[b0:b1], sub_v, delta, model_types,
                                  stats=stats)
         for e in emitted:
-            gaps = all_bits ^ sum(1 << int(c) for c in cols[e.series])
             t_lo = int(ts[b0 + e.offset])
             t_hi = int(ts[b0 + e.offset + e.length - 1])
             segments.append(Segment(gid, t_lo, t_hi, si, e.length, e.mid,
-                                    gaps, e.params))
+                                    gap_mask(cols[e.series], n_s), e.params))
     return segments
 
 
@@ -273,8 +270,6 @@ def reconstruct_segment(seg: Segment, n_group_series: int) -> Tuple[np.ndarray, 
     The value matrix has one column per *present* series (those whose
     gap bit is unset), in sorted-Tid bit order, in the scaled domain.
     """
-    from .model_types import by_mid
-
     cols = np.array([i for i in range(n_group_series)
                      if not (seg.gaps >> i) & 1], dtype=np.int64)
     t = seg.timestamps()

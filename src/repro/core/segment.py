@@ -9,6 +9,11 @@ the ``Gaps`` bitmask (bit *i* set ⇔ the group's *i*-th series — in
 sorted-Tid order — has a gap and is absent from this segment), and the
 model's parameter blob.
 
+:func:`gap_mask` writes the gap mask and :func:`gap_rank` reads arrays
+of masks, unsigned or as Spark's signed ``long``.  Only the Segment
+View's Spark filter and the reference ``golemm.reconstruct_segment``
+read the bits themselves.
+
 Binary layout per record (little-endian):
 ``gid:i4  end_time:i8  si:i4  size:i4  mid:u1  gaps:u8  plen:u4  params``
 """
@@ -16,13 +21,39 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterable, Iterator, List
+
+import numpy as np
 
 _HDR = struct.Struct("<iqiiBQI")
 HEADER_BYTES = _HDR.size  # 33 bytes of metadata per segment
 #: Most series in one group: one bit each in the 64-bit gap mask (§III-C).
 MAX_GROUP_SIZE = 64
 _GAP_BITS = (1 << MAX_GROUP_SIZE) - 1
+
+
+def gap_mask(present: Iterable[int], group_size: int) -> int:
+    """Gap mask of a segment storing the series at positions ``present``."""
+    return ((1 << group_size) - 1) ^ sum(1 << int(b) for b in present)
+
+
+def gap_rank(gaps, pos) -> np.ndarray:
+    """Number of gap bits below each position 0…64, one per mask: a
+    segment stores ``group_size − gap_rank(gaps, group_size)`` series, and
+    the one at ``bitpos`` is column ``bitpos − gap_rank(gaps, bitpos)``."""
+    words, pos = np.asarray(gaps), np.asarray(pos, np.int64).reshape(-1)
+    if words.dtype.kind not in "iu" or not np.all(
+            (pos >= 0) & (pos <= MAX_GROUP_SIZE)):
+        raise ValueError("gap masks are integers; positions lie in 0…64")
+    bits = np.unpackbits(words.astype("<u8").reshape(-1).view(np.uint8)
+                         .reshape(-1, 8), axis=1, bitorder="little")
+    below = np.arange(MAX_GROUP_SIZE) < pos[:, None]
+    return (bits & below).sum(axis=1, dtype=np.int64)
+
+
+def series_present(gaps, bitpos) -> np.ndarray:
+    """Whether each series' gap bit is unset: it is stored in the segment."""
+    return gap_rank(gaps, np.add(bitpos, 1)) == gap_rank(gaps, bitpos)
 
 
 @dataclass(frozen=True)
@@ -37,8 +68,9 @@ class Segment:
     params: bytes
 
     def __post_init__(self):
-        # A gap mask read back from Spark's signed long is unsigned again.
+        # Spark rows (signed gaps, bytearray params) work as Segment(*row).
         object.__setattr__(self, "gaps", int(self.gaps) & _GAP_BITS)
+        object.__setattr__(self, "params", bytes(self.params))
 
     @property
     def byte_size(self) -> int:
@@ -47,8 +79,6 @@ class Segment:
 
     def timestamps(self):
         """The regular timestamps this segment represents."""
-        import numpy as np
-
         return self.start_time + self.si * np.arange(self.size, dtype=np.int64)
 
 

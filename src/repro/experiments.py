@@ -36,9 +36,9 @@ from .baselines import cassandra_sim, formats, influx_sim
 from .baselines.mdb import MDB_MODEL_TYPES, mdb_meta
 from .core.golemm import (DEFAULT_MODEL_TYPES, RAW_BITS_PER_POINT,
                           CompressStats)
-from .core.ingest import ingest_local
+from .core.ingest import ingest, ingest_local
 from .core.model_types import by_mid, registry
-from .core.segment import Segment
+from .core.segment import Segment, series_present
 from .datasets import TSDataset
 from .dims.grouping import (group_summary, group_time_series,
                             singleton_groups, value_based_baseline)
@@ -140,8 +140,7 @@ def reconstruct_points(segments: Sequence[Segment],
     """
     view = pd.DataFrame(segment_columns(segments)).merge(
         with_group_size(meta).drop(columns="si"), on="gid")
-    present = ((view["gaps"].to_numpy()
-                >> view["bitpos"].to_numpy(np.int64)) & 1) == 0
+    present = series_present(view["gaps"], view["bitpos"])
     return decode.points(view[present], registry())
 
 
@@ -260,14 +259,9 @@ def ingestion_table(spark: SparkSession, ds: TSDataset, workdir: str,
         if parallel:
             # Parallel GOLEMM over groups (one task per group), then
             # store — the worker-parallel bulk load of Fig. 3.
-            from .core.ingest import ingest as spark_ingest
-
-            seg_df = spark_ingest(spark, ds.to_spark(spark), meta,
-                                  DEFAULT_EPS, model_types=model_types)
-            segs = [Segment(r["gid"], r["start_time"], r["end_time"],
-                            r["si"], r["size"], r["mid"], r["gaps"],
-                            bytes(r["params"]))
-                    for r in seg_df.collect()]
+            segs = [Segment(*r) for r in ingest(
+                spark, ds.to_spark(spark), meta, DEFAULT_EPS,
+                model_types=model_types).collect()]
         else:
             segs = ingest_local(ds.points, meta, DEFAULT_EPS,
                                 model_types=model_types)

@@ -2,7 +2,8 @@
 
 A Segment View row pairs one segment with one Tid of its group: one
 column of the segment's value matrix.  The query layer turns a batch of
-rows into :class:`~repro.core.model_types.Columns`, cuts them into
+rows into :class:`~repro.core.model_types.Columns` (:func:`view_columns`,
+which reads the gap masks with ``core.segment.gap_rank``), cuts them into
 *pieces* (runs of a column's points: one per row, or one per
 aggregation interval) and asks each row's model type for the pieces'
 sums, minima and maxima with ``ModelType.partials``.  The constant and
@@ -14,12 +15,13 @@ the caller passes the registry it read on the driver.
 """
 from __future__ import annotations
 
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import pandas as pd
 
 from ..core.model_types import Columns, ModelType, by_mid
+from ..core.segment import gap_rank
 
 #: The Segment View columns that the query layer's Python steps read.
 VIEW_COLS = ["tid", "start_time", "si", "size", "mid", "params", "gaps",
@@ -30,32 +32,16 @@ _MS = {"minute": 60_000, "hour": 3_600_000, "day": 86_400_000}
 INTERVALS = (*_MS, "month")
 
 
-def present_count(gaps: int, group_size: int) -> int:
-    """Series stored in a segment = group size − set gap bits."""
-    return group_size - bin(gaps & ((1 << group_size) - 1)).count("1")
-
-
-def column_rank(gaps: int, bitpos: int) -> int:
-    """Column index of a Tid inside the segment's packed value matrix:
-    the rank of its bit position among unset gap bits."""
-    mask = (1 << bitpos) - 1
-    return bitpos - bin(gaps & mask).count("1")
-
-
-def view_columns(pdf: pd.DataFrame) -> Columns:
-    """The segment columns of a batch of Segment View rows."""
-    gaps = pdf["gaps"].tolist()
-    return Columns(
-        mid=pdf["mid"].to_numpy(np.int64),
-        params=pdf["params"].to_numpy(object),
-        start=pdf["start_time"].to_numpy(np.int64),
-        si=pdf["si"].to_numpy(np.int64),
-        size=pdf["size"].to_numpy(np.int64),
-        n_series=np.array([present_count(g, n) for g, n in
-                           zip(gaps, pdf["group_size"].tolist())], np.int64),
-        col=np.array([column_rank(g, b) for g, b in
-                      zip(gaps, pdf["bitpos"].tolist())], np.int64),
-        scaling=pdf["scaling"].to_numpy(np.float64))
+def view_columns(view: Mapping[str, Sequence]) -> Columns:
+    """The segment columns of a batch of Segment View rows: a DataFrame,
+    or any mapping of the :data:`VIEW_COLS` to equal-length sequences."""
+    mid, start, si, size, bitpos, group_size = (
+        np.asarray(view[c], np.int64) for c in
+        ("mid", "start_time", "si", "size", "bitpos", "group_size"))
+    return Columns(mid, np.asarray(view["params"], object), start, si, size,
+                   group_size - gap_rank(view["gaps"], group_size),
+                   bitpos - gap_rank(view["gaps"], bitpos),
+                   np.asarray(view["scaling"], np.float64))
 
 
 def _interval_index(t: np.ndarray, interval: str) -> np.ndarray:
@@ -134,22 +120,14 @@ def points(pdf: pd.DataFrame, types: Mapping[int, ModelType]
         "value": scaled.astype(np.float32)})
 
 
-def _one_row(mid, params, start, si, size, gaps, bitpos, group_size,
-             scaling) -> Columns:
-    return Columns(np.array([mid]), np.array([params], dtype=object),
-                   np.array([start], np.int64), np.array([si], np.int64),
-                   np.array([size], np.int64),
-                   np.array([present_count(gaps, group_size)], np.int64),
-                   np.array([column_rank(gaps, bitpos)], np.int64),
-                   np.array([scaling], np.float64))
-
-
 def series_values(mid: int, params: bytes, start: int, end: int, si: int,
                   size: int, gaps: int, bitpos: int, group_size: int
                   ) -> np.ndarray:
     """Scaled-domain values of one Tid across a segment (float32)."""
-    cols = _one_row(mid, params, start, si, size, gaps, bitpos, group_size,
-                    1.0)
+    cols = view_columns({
+        "mid": [mid], "params": [params], "start_time": [start], "si": [si],
+        "size": [size], "gaps": [gaps], "bitpos": [bitpos],
+        "group_size": [group_size], "scaling": [1.0]})
     return by_mid(mid).column(cols, 0)
 
 
@@ -158,8 +136,10 @@ def series_partials(mid: int, params: bytes, start: int, end: int, si: int,
                     scaling: float) -> Tuple[int, float, float, float]:
     """(count, sum, min, max) of one Tid over a segment, in the stored
     (unscaled-by-C) query domain.  Constant time for PMC/Swing."""
-    cols = _one_row(mid, params, start, si, size, gaps, bitpos, group_size,
-                    scaling)
+    cols = view_columns({
+        "mid": [mid], "params": [params], "start_time": [start], "si": [si],
+        "size": [size], "gaps": [gaps], "bitpos": [bitpos],
+        "group_size": [group_size], "scaling": [scaling]})
     row, first, count, _ = cut(cols)
     total, lo, hi = by_mid(mid).partials(cols, row, first, count)
     return size, float(total[0]), float(lo[0]), float(hi[0])

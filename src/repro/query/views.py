@@ -76,6 +76,7 @@ def segment_view(spark: SparkSession, store_path: str,
     if tids is not None:
         meta = meta.filter(F.col("tid").isin([int(t) for t in tids]))
     view = segs.join(F.broadcast(meta), "gid")
+    # The gap-mask rule of core/segment.py (series_present), run in the JVM.
     return view.filter(F.expr("(shiftright(gaps, bitpos) & 1) = 0"))
 
 

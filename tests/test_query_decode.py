@@ -8,25 +8,64 @@ import pytest
 from repro.core import gorilla
 from repro.core.model_types import (MID_FALLBACK, MID_GORILLA, MID_PMC_MEAN,
                                     MID_PMC_MR, MID_SWING, Columns, by_mid)
-from repro.query.decode import (column_rank, cut, present_count,
-                                series_partials, series_values)
+from repro.core.segment import gap_mask, gap_rank, series_present
+from repro.query.decode import (cut, series_partials, series_values,
+                                view_columns)
+
+BIT63 = -(1 << 63)  # bit 63 alone, as Spark's signed long holds it
 
 
-class TestBitmaskHelpers:
-    def test_present_count_no_gaps(self):
-        assert present_count(0, 5) == 5
+class TestGapMask:
+    @pytest.mark.parametrize("gaps,positions,below", [
+        (0, [5], [0]),                    # no gaps: 5 of 5 series stored
+        (0b101, [5], [2]),                # bits 0, 2 absent: 3 of 5 stored
+        (0, [0, 1, 2, 3], [0, 0, 0, 0]),  # no gaps: bit i is column i
+        (0b0101, [1, 3], [1, 2]),         # bit 1 → column 0, bit 3 → 1
+        (BIT63 | 0b1, [63, 64], [1, 2]),  # signed mask, last two positions
+        (-1, [0, 1, 63, 64], [0, 1, 63, 64]),
+        (0b111, [0], [0]),
+    ], ids=["present-count-no-gaps", "present-count-with-gaps",
+            "column-rank-no-gaps", "column-rank-skips-gap-bits",
+            "bit63-signed-positions-63-64", "all-gaps-signed", "position-0"])
+    def test_gap_rank(self, gaps, positions, below):
+        unsigned = gaps & ((1 << 64) - 1)
+        assert below == [sum((unsigned >> i) & 1 for i in range(p))
+                         for p in positions]
+        words = np.full(len(positions), unsigned, np.uint64)
+        for masks in (words, words.view(np.int64)):  # unsigned, Spark's long
+            assert gap_rank(masks, positions).tolist() == below
 
-    def test_present_count_with_gaps(self):
-        assert present_count(0b101, 5) == 3
+    @pytest.mark.parametrize("gaps", [0, 0b0101, BIT63 | 0b1, -1],
+                             ids=["none", "bits-0-2", "bits-0-63", "all"])
+    def test_series_present(self, gaps):
+        unsigned = gaps & ((1 << 64) - 1)
+        got = series_present(np.full(64, gaps, np.int64), np.arange(64))
+        assert got.tolist() == [not (unsigned >> b) & 1 for b in range(64)]
 
-    def test_column_rank_no_gaps(self):
-        assert [column_rank(0, i) for i in range(4)] == [0, 1, 2, 3]
+    def test_view_columns_series_count_and_column(self):
+        rows = [(0, 0, 5), (0b101, 1, 5), (0, 3, 4), (0b0101, 1, 4),
+                (0b0101, 3, 4), (BIT63 | 0b1, 63, 64)]
+        gaps, bitpos, group_size = map(list, zip(*rows))
+        n = len(rows)
+        cols = view_columns({
+            "mid": [MID_PMC_MEAN] * n, "params": [b""] * n,
+            "start_time": [0] * n, "si": [1] * n, "size": [1] * n,
+            "gaps": gaps, "bitpos": bitpos, "group_size": group_size,
+            "scaling": [1.0] * n})
+        assert cols.n_series.tolist() == [5, 3, 4, 2, 2, 62]
+        assert cols.col.tolist() == [0, 0, 3, 0, 1, 62]
 
-    def test_column_rank_skips_gap_bits(self):
-        # Series at bits 0 and 2 are absent; bit 1 → column 0, bit 3 → 1.
-        gaps = 0b0101
-        assert column_rank(gaps, 1) == 0
-        assert column_rank(gaps, 3) == 1
+    def test_gap_mask_sets_the_absent_bits(self):
+        assert gap_mask([1, 3], 5) == 0b10101
+        assert gap_mask(range(63), 64) == 1 << 63
+        assert gap_mask([], 64) == (1 << 64) - 1
+
+    @pytest.mark.parametrize("gaps,pos", [
+        (np.array([1.0]), [0]), (np.array([0]), [65]),
+        (np.array([0]), [-1])], ids=["float-mask", "position-65", "negative"])
+    def test_gap_rank_rejects_bad_input(self, gaps, pos):
+        with pytest.raises(ValueError):
+            gap_rank(gaps, pos)
 
 
 class TestSeriesValues:

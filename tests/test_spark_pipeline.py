@@ -77,7 +77,7 @@ class TestSparkIngest:
                              "scaling": 1.0, "si": 100})
         local = ingest_local(pts, meta, 0.0)
         assert any(s.gaps >> 63 for s in local)
-        via_spark = [Segment(*r[:7], bytes(r["params"])) for r in
+        via_spark = [Segment(*r) for r in
                      ingest(spark, spark.createDataFrame(pts), meta,
                             0.0).collect()]
         def key(s):
@@ -91,6 +91,10 @@ class TestSparkIngest:
         oracle.assert_equivalent(
             got, "SELECT tid, ts, value FROM pts",
             pts=data_point_view(spark, stores["local"]))
+        # ε = 0 is lossless: every value, series 64's included, is the
+        # ingested one, so a wrong column for bit 63 cannot pass.
+        oracle.assert_equivalent(got, "SELECT tid, ts, value FROM pts",
+                                 pts=pts)
         assert got.count() == len(pts)
 
     def test_ingestion_covers_every_point(self, ds, grouped_meta):
