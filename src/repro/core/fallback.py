@@ -28,7 +28,12 @@ class GorillaModel(ModelType):
         if n == 0:
             return FitResult(0, None)
         flat = np.ascontiguousarray(V[:n], dtype=np.float32).ravel()
-        return FitResult(n, gorilla.encode(flat))
+        # Encoded only if this segment wins.  At least 32 bits for the
+        # first value and one for each other value.
+        return FitResult(
+            n, encode=lambda: gorilla.encode(flat),
+            size=lambda: -(-gorilla.encoded_size_bits(flat) // 8),
+            min_size=-(-(31 + len(flat)) // 8))
 
     def reconstruct(self, params, ts, n_series):
         flat = gorilla.decode(params, len(ts) * n_series)

@@ -12,12 +12,19 @@ Ingestion semantics reproduced here:
   gives the best compression is emitted and ingestion restarts with the
   first type.  Segments are *disconnected* (no shared data points).
 
-  For a bounded buffer this online process is equivalent to the batch
+  For a bounded buffer this online process is equivalent to the
   formulation used here: at each start offset, fit every type to its
   longest representable prefix; if a type represents the entire
   remaining buffer it never fails, so it is chosen outright (types are
   ordered cheapest-first); otherwise the candidate with the fewest
-  *bits per data point* (metadata included) wins.
+  *bits per data point* (metadata included) wins, the earlier type on a
+  tie.  As in the online process, a fit reads only the points that
+  decide it: a lossless type its ``LENGTH_BOUND`` timestamps, a lossy
+  type a window of ``4·LENGTH_BOUND`` timestamps, doubled while the
+  model fills it, so the work is linear in a chunk's length.
+  Candidates are ranked by exact byte size before their params are
+  built (``FitResult``); only the winner's are, so Gorilla encodes only
+  the segments it wins.
 
 * **Gaps** force segment boundaries: a segment covers a static subset of
   the group's series, recorded as a bitmask (§III-B, Fig. 5).
@@ -45,7 +52,7 @@ import numpy as np
 
 from . import split_merge
 from .fallback import GorillaModel, RawFallback
-from .model_types import ModelType, by_mid
+from .model_types import FitResult, ModelType, by_mid
 from .pmc_mean import PMCMean
 from .segment import HEADER_BYTES, MAX_GROUP_SIZE, Segment, gap_mask
 from .swing import Swing
@@ -95,32 +102,61 @@ class CompressStats:
     model_counts: dict = field(default_factory=dict)
 
 
-def _best_segment(ts: np.ndarray, V: np.ndarray, delta: np.ndarray,
-                  model_types: Sequence[ModelType]) -> Tuple[int, int, bytes]:
-    """One GOLEMM emission step from offset 0 of the given buffer.
+def _fit(mt: ModelType, ts: np.ndarray, V: np.ndarray, delta: np.ndarray,
+         cols: np.ndarray) -> FitResult:
+    """``mt.fit`` on columns ``cols`` of the buffer, reading only the
+    prefix that decides it.
 
-    Returns (mid, length, params) of the winning model.
+    A lossless type sees its ``LENGTH_BOUND`` timestamps.  A lossy fit is
+    decided by its prefix (§III-B's online formulation), so it runs on a
+    window of ``4·LENGTH_BOUND`` timestamps, doubled while the model
+    fills it: linear, not quadratic, in the length of a gap-free chunk.
     """
     n = len(ts)
-    candidates = []
+
+    def fit(w, bound):
+        return mt.fit(ts[:w], V[:w][:, cols], delta[:w][:, cols], bound)
+
+    if mt.lossless:
+        return fit(min(n, LENGTH_BOUND), LENGTH_BOUND)
+    w = min(n, 4 * LENGTH_BOUND)
+    res = fit(w, n)
+    while res.length >= w and w < n:
+        w = min(n, 2 * w)
+        res = fit(w, n)
+    return res
+
+
+def _best_segment(ts: np.ndarray, V: np.ndarray, delta: np.ndarray,
+                  cols: np.ndarray, model_types: Sequence[ModelType]
+                  ) -> Tuple[int, int, bytes]:
+    """One GOLEMM emission step from offset 0 of columns ``cols`` of the
+    given buffer.
+
+    Returns (mid, length, params) of the winning model.  Only the
+    winner's params are built.
+    """
+    n = len(ts)
+    best, best_mid, best_bits = None, None, np.inf
     for mt in model_types:
-        bound = LENGTH_BOUND if mt.lossless else n
-        res = mt.fit(ts, V, delta, bound)
+        res = _fit(mt, ts, V, delta, cols)
         if res.length >= n and not mt.lossless:
             # The type never fails on this buffer — emitted at flush.
             return mt.mid, res.length, res.params
-        if res.length > 0:
-            candidates.append((mt.mid, res.length, res.params))
-    if not candidates:
-        res = FALLBACK.fit(ts, V, delta, LENGTH_BOUND)
-        return FALLBACK.mid, res.length, res.params
-    # Best compression: fewest bits per represented data point, with the
-    # segment's fixed metadata amortised over its length.
-    def bits_per_point(c):
-        mid, length, params = c
-        return (HEADER_BYTES + len(params)) * 8.0 / (length * V.shape[1])
-    mid, length, params = min(candidates, key=bits_per_point)
-    return mid, length, params
+        if res.length == 0:
+            continue
+        # Best compression: fewest bits per represented data point, with
+        # the segment's fixed metadata amortised over its length; a tie
+        # goes to the earlier type, so a bound that ties cannot win.
+        points = res.length * len(cols)
+        if (HEADER_BYTES + res.min_size) * 8.0 / points >= best_bits:
+            continue
+        bits = (HEADER_BYTES + res.size) * 8.0 / points
+        if bits < best_bits:
+            best, best_mid, best_bits = res, mt.mid, bits
+    if best is None:
+        best, best_mid = _fit(FALLBACK, ts, V, delta, cols), FALLBACK.mid
+    return best_mid, best.length, best.params
 
 
 @dataclass(eq=False)  # identity equality: ndarray fields break __eq__,
@@ -161,9 +197,8 @@ def compress_chunk(ts: np.ndarray, V: np.ndarray, delta: np.ndarray,
         if next_sync is not None and sg.pos < next_sync:
             cap = min(cap, next_sync - sg.pos)
         sl = slice(sg.pos, sg.pos + cap)
-        mid, length, params = _best_segment(
-            ts[sl], V[sl][:, sg.series], delta[sl][:, sg.series],
-            model_types)
+        mid, length, params = _best_segment(ts[sl], V[sl], delta[sl],
+                                            sg.series, model_types)
         emitted = Emitted(sg.pos, length, mid, params, sg.series)
         out.append(emitted)
         st.segments += 1

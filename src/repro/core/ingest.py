@@ -2,11 +2,14 @@
 
 ModelarDB+ assigns whole groups to workers so each group is compressed
 by one node (§IV-A).  The Spark-native equivalent is
-``points.groupBy("gid").applyInPandas(compress, SEGMENT_SCHEMA)``: each
-group's data points arrive at exactly one task, are pivoted to the
-(timestamps × series) buffer GOLEMM expects (missing rows become gaps),
-compressed, and emitted as segment rows.  No shuffle is needed at query
-time for per-group work, matching the paper's architecture.
+``points.repartition(n, "gid").groupBy("gid").applyInPandas(compress,
+SEGMENT_SCHEMA)`` with ``n = min(#groups, defaultParallelism)``: one
+shuffle sends each group's data points to one of at most one task per
+core, where each group is pivoted to the (timestamps × series) buffer
+GOLEMM expects (missing rows become gaps), compressed, and emitted as
+segment rows.  No shuffle is needed at query time for per-group work,
+matching the paper's architecture.  Spark's hash of the Gid, not
+§IV-C's balancing by data points, decides which task gets a group.
 
 A JVM physical operator is out of scope in this container (no Scala
 toolchain); ``applyInPandas`` preserves the execution structure
@@ -39,21 +42,29 @@ def _group_info(meta: pd.DataFrame) -> Dict[int, dict]:
     return info
 
 
-def pivot_group(pdf: pd.DataFrame, tids: Sequence[int], si: int
-                ) -> Tuple[np.ndarray, np.ndarray]:
+def pivot_group(pdf: pd.DataFrame, tids: Sequence[int], si: int,
+                gid: int) -> Tuple[np.ndarray, np.ndarray]:
     """Long (tid, ts, value) → regular (timestamps, value-matrix).
 
     The time axis spans min..max observed timestamp at SI spacing;
     missing (tid, ts) combinations become NaN — the paper's ⊥ values of
-    a regular time series with gaps (§II).
+    a regular time series with gaps (§II).  A timestamp off the group's
+    SI grid or a repeated (tid, ts) raises ``ValueError`` naming ``gid``.
     """
     t_lo, t_hi = int(pdf["ts"].min()), int(pdf["ts"].max())
     ts = np.arange(t_lo, t_hi + si, si, dtype=np.int64)
     n_t = len(ts)
     V = np.full((n_t, len(tids)), np.nan, dtype=np.float32)
     col = {t: j for j, t in enumerate(tids)}
-    rows = ((pdf["ts"].to_numpy(np.int64) - t_lo) // si).astype(np.int64)
+    rows, off = np.divmod(pdf["ts"].to_numpy(np.int64) - t_lo, si)
+    if off.any():
+        raise ValueError(f"group {gid}: a timestamp is off the SI {si} "
+                         f"grid starting at {t_lo}")
     cols = pdf["tid"].map(col).to_numpy(np.int64)
+    seen = np.zeros(V.shape, dtype=bool)
+    seen[rows, cols] = True
+    if np.count_nonzero(seen) < len(rows):
+        raise ValueError(f"group {gid}: a (tid, ts) point is repeated")
     V[rows, cols] = pdf["value"].to_numpy(np.float32)
     return ts, V
 
@@ -67,7 +78,7 @@ def compress_points(pdf: pd.DataFrame, gid: int, group: dict,
     ``pivot_group`` and ``compress_group`` are looked up when this runs,
     so a caller may replace them on this module.
     """
-    ts, V = pivot_group(pdf, group["tids"], group["si"])
+    ts, V = pivot_group(pdf, group["tids"], group["si"], gid)
     V = V / group["scalings"][None, :].astype(np.float32)
     return compress_group(ts, V, eps_pct, gid=gid, si=group["si"],
                           model_types=model_types, stats=stats)
@@ -79,12 +90,18 @@ def ingest(spark: SparkSession, points: DataFrame, meta: pd.DataFrame,
 
     ``meta`` must carry ``gid`` assignments from the grouping layer
     (``dims/grouping.py``); the tiny tid→gid map is broadcast-joined
-    onto the points so each group lands in one task, where ``compress``
-    turns the group's points into rows of the Segment table.
+    onto the points, which are hash-partitioned by gid into
+    ``min(#groups, defaultParallelism)`` tasks, where ``compress`` turns
+    each group's points into rows of the Segment table.
     """
     tid_gid = spark.createDataFrame(meta[["tid", "gid"]])
-    with_gid = points.join(F.broadcast(tid_gid), "tid")
     info = _group_info(meta)
+    # At most one task per core, each compressing whole groups (§IV-C).
+    # AQE neither coalesces nor splits a partition count set here, and
+    # every extra task costs a Python worker start (~0.25 CPU s).
+    n_tasks = min(len(info), spark.sparkContext.defaultParallelism)
+    with_gid = points.join(F.broadcast(tid_gid), "tid").repartition(
+        n_tasks, "gid")
 
     def compress(pdf: pd.DataFrame) -> pd.DataFrame:
         gid = int(pdf["gid"].iloc[0])

@@ -20,8 +20,7 @@ added with :func:`register` without touching the rest of the system.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -33,7 +32,6 @@ MID_FALLBACK = 4
 MID_PMC_MR = 5
 
 
-@dataclass(frozen=True)
 class FitResult:
     """Outcome of fitting one model type to a buffer prefix.
 
@@ -41,10 +39,46 @@ class FitResult:
     (0 = the type cannot represent even the first timestamp's values).
     ``params`` is the serialised model blob for that prefix; ``None``
     when ``length == 0``.
+
+    GOLEMM ranks candidates by ``size``, the blob's exact byte length,
+    and skips one whose ``min_size`` cannot win.  A type whose blob is
+    costly to build passes ``encode`` (builds the blob) instead of
+    ``params``, with ``size`` (returns its byte length) and ``min_size``
+    (a cheap lower bound), so only the winner's blob is built.
     """
 
-    length: int
-    params: Optional[bytes]
+    __slots__ = ("length", "_params", "_encode", "_size", "_min_size")
+
+    def __init__(self, length: int, params: Optional[bytes] = None, *,
+                 encode: Optional[Callable[[], bytes]] = None,
+                 size: Optional[Callable[[], int]] = None,
+                 min_size: Optional[int] = None):
+        self.length = length
+        self._params, self._encode = params, encode
+        self._size, self._min_size = size, min_size
+
+    @property
+    def params(self) -> Optional[bytes]:
+        if self._encode is not None:
+            self._params, self._encode = self._encode(), None
+        return self._params
+
+    @property
+    def size(self) -> int:
+        if callable(self._size):
+            self._size = self._size()
+        return len(self.params) if self._size is None else self._size
+
+    @property
+    def min_size(self) -> int:
+        return self.size if self._min_size is None else self._min_size
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, FitResult) and
+                (self.length, self.params) == (other.length, other.params))
+
+    def __repr__(self) -> str:
+        return f"FitResult({self.length}, {self.params!r})"
 
 
 class Columns(NamedTuple):
@@ -77,7 +111,13 @@ class ModelType:
 
     def fit(self, ts: np.ndarray, V: np.ndarray, delta: np.ndarray,
             length_bound: int) -> FitResult:
-        """Fit a model to the longest representable prefix of (ts, V)."""
+        """Fit a model to the longest representable prefix of (ts, V).
+
+        A lossless type represents at most ``length_bound`` timestamps.
+        A lossy type's result must be decided by the timestamps it
+        represents plus the one after: GOLEMM fits it on a growing
+        prefix of the buffer until the model ends inside that prefix.
+        """
         raise NotImplementedError
 
     def reconstruct(self, params: bytes, ts: np.ndarray, n_series: int) -> np.ndarray:

@@ -247,17 +247,17 @@ def ingestion_table(spark: SparkSession, ds: TSDataset, workdir: str,
                     parallel: bool = True) -> pd.DataFrame:
     """Table T1 (Fig. 13): wall-clock bulk-load rate per system.
 
-    ``parallel=True`` ingests MDB+/MDB through Spark (one task per
-    group, Fig. 3's worker-parallel bulk load; includes shipping the
-    points into Spark).  ``parallel=False`` runs every compressor in
-    the same single-threaded driver harness, which isolates the
-    *algorithmic* rate differences from Spark's job overhead.  Both
-    views are reported in EXPERIMENTS.md; absolute rates are far below
-    the JVM systems in the paper (DESIGN.md §7).
+    ``parallel=True`` ingests MDB+/MDB through Spark (whole groups in
+    one task per core, Fig. 3's worker-parallel bulk load; includes
+    shipping the points into Spark).  ``parallel=False`` runs every
+    compressor in the same single-threaded driver harness, which
+    isolates the *algorithmic* rate differences from Spark's job
+    overhead.  Both views are reported in EXPERIMENTS.md; absolute rates
+    are far below the JVM systems in the paper (DESIGN.md §7).
     """
     def ingest_store(meta, model_types, path):
         if parallel:
-            # Parallel GOLEMM over groups (one task per group), then
+            # Parallel GOLEMM over groups (one task per core), then
             # store — the worker-parallel bulk load of Fig. 3.
             segs = [Segment(*r) for r in ingest(
                 spark, ds.to_spark(spark), meta, DEFAULT_EPS,

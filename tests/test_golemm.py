@@ -4,11 +4,13 @@ import pandas as pd
 import pytest
 
 from repro.baselines.mdb import ingest_mdb
-from repro.core import split_merge
-from repro.core.golemm import (CompressStats, compress_chunk, compress_group,
+from repro.core import gorilla, split_merge
+from repro.core.golemm import (DEFAULT_MODEL_TYPES, CompressStats,
+                               compress_chunk, compress_group,
                                reconstruct_segment)
 from repro.core.ingest import ingest_local
-from repro.core.model_types import (MID_GORILLA, MID_PMC_MEAN, MID_SWING)
+from repro.core.model_types import (MID_GORILLA, MID_PMC_MEAN, MID_SWING,
+                                    ModelType)
 
 
 def reconstruct_all(segments, n_series, n_t, ts0=0, si=100):
@@ -80,6 +82,58 @@ class TestCompressChunk:
         assert st.segments == 1
         assert st.model_counts == {MID_PMC_MEAN: 1}
         assert st.total_seconds > 0
+
+
+class _Counting(ModelType):
+    """Delegating model type that counts ``fit`` calls and the values
+    passed to them."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.mid, self.lossless = inner.mid, inner.lossless
+        self.calls = self.points = 0
+
+    def fit(self, ts, V, delta, length_bound):
+        self.calls += 1
+        self.points += V.size
+        return self.inner.fit(ts, V, delta, length_bound)
+
+
+def _walk(n_t, n_series, seed):
+    rng = np.random.default_rng(seed)
+    walk = 100 + np.cumsum(rng.normal(0, 0.3, n_t))
+    return (walk[:, None] + rng.normal(0, 0.05, (n_t, n_series))
+            ).astype(np.float32)
+
+
+class TestLinearWork:
+    def test_fitted_points_linear_in_chunk_length(self):
+        """Refitting the rest of a 65 536-timestamp chunk at every
+        emission passed ~900× its points to ``fit``; windowed fits pass
+        a small multiple."""
+        V = _walk(65_536, 2, seed=7)
+        ts = np.arange(len(V), dtype=np.int64) * 100
+        counted = [_Counting(mt) for mt in DEFAULT_MODEL_TYPES]
+        segs = compress_chunk(ts, V, np.abs(V) * 0.05, model_types=counted)
+        assert sum(s.length * len(s.series) for s in segs) == V.size
+        assert sum(c.points for c in counted) <= 10 * V.size
+
+    def test_gorilla_encodes_only_winning_segments(self, monkeypatch):
+        calls = []
+
+        def encode(values):
+            calls.append(len(values))
+            return real_encode(values)
+
+        real_encode = gorilla.encode
+        monkeypatch.setattr(gorilla, "encode", encode)
+        V = _walk(4096, 3, seed=8)
+        counted = [_Counting(mt) for mt in DEFAULT_MODEL_TYPES]
+        segs = compress_group(np.arange(len(V), dtype=np.int64) * 100, V,
+                              0.3, gid=1, si=100, model_types=counted)
+        won = [s for s in segs if s.mid == MID_GORILLA]
+        assert 0 < len(won) < counted[2].calls   # Gorilla also lost
+        assert calls == [s.size * 3 for s in won]
 
 
 class TestErrorBound:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from repro.core.fallback import GorillaModel, RawFallback
-from repro.core.model_types import Columns, FitResult, by_mid, first_false
+from repro.core.model_types import (Columns, FitResult, by_mid, first_false,
+                                    registry)
 from repro.core.pmc_mean import PMCMean, PMCMidrange
 from repro.core.swing import Swing
 
@@ -218,3 +219,55 @@ class TestLossless:
         assert by_mid(MID_PMC_MEAN).name == "PMC-Mean"
         assert by_mid(MID_SWING).name == "Swing"
         assert by_mid(MID_GORILLA).lossless
+
+
+class TestSizeContract:
+    """GOLEMM ranks candidates by ``FitResult.size`` and skips one whose
+    ``min_size`` cannot win, so both must hold for every type."""
+
+    @pytest.mark.parametrize("kind", ["noise", "walk", "runs", "constant"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lower_bound_and_exact_size(self, kind, seed):
+        import repro.core  # noqa: F401 — registers built-ins
+        g = np.random.default_rng(seed)
+        n_t, n_s = int(g.integers(1, 80)), int(g.integers(1, 5))
+        if kind == "noise":
+            V = g.normal(0, 100, (n_t, n_s))
+        elif kind == "walk":
+            V = 50 + np.cumsum(g.normal(0, 0.5, (n_t, 1)), axis=0) \
+                + g.normal(0, 0.01, (n_t, n_s))
+        elif kind == "runs":    # many zero XORs
+            V = g.choice([1.5, 2.0, -3.25], size=(n_t, 1)).repeat(n_s, 1)
+        else:                   # all XORs zero: Gorilla meets its bound
+            V = np.full((n_t, n_s), g.normal(0, 100))
+        V = V.astype(np.float32)
+        ts = mk(n_t)
+        fitted = 0
+        for mt in registry().values():
+            for eps in (0.0, 1.0, 10.0):
+                res = mt.fit(ts, V, delta_for(V, eps), 50)
+                if res.length == 0:
+                    continue
+                fitted += 1
+                assert res.min_size <= res.size == len(res.params), mt.name
+                out = mt.reconstruct(res.params, ts[:res.length], n_s)
+                assert out.shape == (res.length, n_s)
+        assert fitted >= len(registry())
+
+    def test_eager_result_keeps_length_and_params(self):
+        res = FitResult(3, b"abcd")
+        assert (res.length, res.params, res.size, res.min_size) == (
+            3, b"abcd", 4, 4)
+        assert res == FitResult(3, b"abcd") != FitResult(2, b"abcd")
+
+    def test_lazy_result_encodes_once_on_demand(self):
+        calls = []
+
+        def encode():
+            calls.append(1)
+            return b"xyz"
+
+        res = FitResult(5, encode=encode, size=lambda: 3, min_size=1)
+        assert (res.size, res.min_size, calls) == (3, 1, [])
+        assert res.params == res.params == b"xyz"
+        assert calls == [1]

@@ -63,6 +63,32 @@ class TestSwingProperties:
                           <= d[:res.length] + slack)
 
 
+class TestWindowedFit:
+    """GOLEMM fits a lossy type on a window of the buffer and keeps the
+    result when the model ends inside the window: that must be the fit
+    on the whole buffer, length and params."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(2, 150),
+           st.sampled_from([0.0, 0.5, 0.05, 0.0005]),
+           st.sampled_from([0.0, 1.0, 5.0, 10.0]), st.integers(0, 10_000))
+    def test_fit_ending_inside_window_is_full_fit(self, n_series, n_t, step,
+                                                  eps, seed):
+        rng = np.random.default_rng(seed)
+        walk = 40 + np.cumsum(rng.normal(0, step, n_t))
+        V = (walk[:, None] + rng.normal(0, step / 10 + 1e-4,
+                                        (n_t, n_series))).astype(np.float32)
+        delta = np.abs(V) * (eps / 100.0)
+        ts = np.arange(n_t, dtype=np.int64) * 100
+        for mt in (PMCMean(), PMCMidrange(), Swing()):
+            full = mt.fit(ts, V, delta, n_t)
+            for w in range(1, n_t + 1):
+                part = mt.fit(ts[:w], V[:w], delta[:w], n_t)
+                if part.length < w:
+                    assert ((part.length, part.params)
+                            == (full.length, full.params)), (mt.name, w)
+
+
 class TestGolemmProperties:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 4), st.integers(5, 80),

@@ -110,7 +110,7 @@ class TestPivot:
     def test_pivot_reintroduces_gaps_as_nan(self):
         pdf = pd.DataFrame({"tid": [1, 1, 2], "ts": [0, 200, 0],
                             "value": [1.0, 2.0, 3.0]})
-        ts, V = pivot_group(pdf, [1, 2], si=100)
+        ts, V = pivot_group(pdf, [1, 2], si=100, gid=1)
         assert list(ts) == [0, 100, 200]
         assert np.isnan(V[1, 0]) and np.isnan(V[1:, 1]).all()
         assert V[0, 1] == 3.0
@@ -118,8 +118,30 @@ class TestPivot:
     def test_pivot_column_order_is_tid_order(self):
         pdf = pd.DataFrame({"tid": [9, 3], "ts": [0, 0],
                             "value": [9.0, 3.0]})
-        _, V = pivot_group(pdf, [3, 9], si=100)
+        _, V = pivot_group(pdf, [3, 9], si=100, gid=1)
         assert V[0, 0] == 3.0 and V[0, 1] == 9.0
+
+    def test_pivot_rejects_timestamp_off_the_grid(self):
+        """ts 250 with SI 100 would land in the slot of 200."""
+        pdf = pd.DataFrame({"tid": [1, 1, 1], "ts": [0, 100, 250],
+                            "value": [1.0, 2.0, 3.0]})
+        with pytest.raises(ValueError, match="group 7.*SI 100"):
+            pivot_group(pdf, [1], si=100, gid=7)
+
+    def test_pivot_rejects_repeated_point(self):
+        """Only the last of two (tid, ts) points would be kept."""
+        pdf = pd.DataFrame({"tid": [1, 2, 1], "ts": [0, 0, 0],
+                            "value": [1.0, 2.0, 3.0]})
+        with pytest.raises(ValueError, match="group 7.*repeated"):
+            pivot_group(pdf, [1, 2], si=100, gid=7)
+
+    def test_ingest_names_the_group_with_wrong_input(self):
+        ds = ep_like(n_entities=1, n_points=50, seed=3)
+        pts = pd.concat([ds.points, ds.points.iloc[[5]]])
+        meta = singleton_groups(ds.meta)
+        gid = int(meta.loc[meta["tid"] == pts["tid"].iloc[-1], "gid"].iloc[0])
+        with pytest.raises(ValueError, match=f"group {gid}: .*repeated"):
+            ingest_local(pts, meta, 0.0)
 
 
 class TestErrorMetric:

@@ -52,14 +52,51 @@ def store(ds, grouped_meta, tmp_path_factory):
     return path
 
 
+def _segment_key(s):
+    return s.gid, s.end_time, s.gaps
+
+
+def _plan_nodes(df):
+    """Nodes of a DataFrame's executed plan, inside AQE's query stages."""
+    stack = [df._jdf.queryExecution().executedPlan()]
+    while stack:
+        node = stack.pop()
+        cls = node.getClass().getSimpleName()
+        if cls == "AdaptiveSparkPlanExec":
+            stack.append(node.executedPlan())
+        elif cls.endswith("QueryStageExec"):
+            stack.append(node.plan())
+        else:
+            yield node
+            kids = node.children()
+            stack.extend(kids.apply(i) for i in range(kids.size()))
+
+
 class TestSparkIngest:
-    def test_spark_and_local_ingestion_agree(self, spark, ds, grouped_meta):
-        seg_df = ingest(spark, ds.to_spark(spark), grouped_meta, eps_pct=0.0)
-        via_spark = seg_df.groupBy().agg(
-            F.count("*").alias("n"), F.sum("size").alias("points")).first()
-        local = ingest_local(ds.points, grouped_meta, eps_pct=0.0)
-        assert via_spark["n"] == len(local)
-        assert via_spark["points"] == sum(s.size for s in local)
+    def test_spark_and_local_ingestion_agree(self, spark):
+        """The Spark ingest stores exactly the driver-side segments, after
+        one shuffle into ``min(#groups, defaultParallelism)`` tasks."""
+        n_cores = spark.sparkContext.defaultParallelism
+        ds = ep_like(n_entities=n_cores // 5 + 2, n_points=256, seed=21,
+                     gap_prob=0.3)
+        singletons = singleton_groups(ds.meta)
+        one_group = singletons.assign(gid=1, bitpos=np.argsort(np.argsort(
+            singletons["tid"].to_numpy())))
+        points = ds.to_spark(spark)
+        for meta in (singletons, one_group):
+            n_groups = meta["gid"].nunique()
+            for eps in (0.0, 5.0):
+                seg_df = ingest(spark, points, meta, eps)
+                via_spark = [Segment(*r) for r in seg_df.collect()]
+                local = ingest_local(ds.points, meta, eps)
+                assert (sorted(via_spark, key=_segment_key)
+                        == sorted(local, key=_segment_key)), (n_groups, eps)
+                shuffles = [n for n in _plan_nodes(seg_df)
+                            if n.nodeName() == "Exchange"]
+                assert len(shuffles) == 1
+                assert (shuffles[0].outputPartitioning().numPartitions()
+                        == min(n_groups, n_cores))
+        assert len(singletons) > n_cores
 
     def test_gap_in_series_64_through_spark(self, spark, tmp_path):
         """A 64-series group whose last series has a gap sets bit 63 of
@@ -80,9 +117,8 @@ class TestSparkIngest:
         via_spark = [Segment(*r) for r in
                      ingest(spark, spark.createDataFrame(pts), meta,
                             0.0).collect()]
-        def key(s):
-            return s.end_time, s.gaps
-        assert sorted(via_spark, key=key) == sorted(local, key=key)
+        assert (sorted(via_spark, key=_segment_key)
+                == sorted(local, key=_segment_key))
         stores = {}
         for name, segs in (("spark", via_spark), ("local", local)):
             stores[name] = str(tmp_path / name)
