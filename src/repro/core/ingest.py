@@ -25,6 +25,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from ..storage.schema import SEGMENT_SCHEMA, segment_columns
+from ..worker import trim_importer_cache
 from .golemm import DEFAULT_MODEL_TYPES, CompressStats, compress_group
 from .segment import Segment
 
@@ -40,6 +41,11 @@ def _group_info(meta: pd.DataFrame) -> Dict[int, dict]:
             "si": int(rows["si"].iloc[0]),
         }
     return info
+
+
+def _unknown_tids(tids) -> ValueError:
+    return ValueError(f"points of tids {sorted(set(map(int, tids)))} have "
+                      "no gid in meta")
 
 
 def pivot_group(pdf: pd.DataFrame, tids: Sequence[int], si: int,
@@ -92,19 +98,28 @@ def ingest(spark: SparkSession, points: DataFrame, meta: pd.DataFrame,
     (``dims/grouping.py``); the tiny tid→gid map is broadcast-joined
     onto the points, which are hash-partitioned by gid into
     ``min(#groups, defaultParallelism)`` tasks, where ``compress`` turns
-    each group's points into rows of the Segment table.
+    each group's points into rows of the Segment table.  Points whose
+    tid is not in ``meta`` fail the job with a ``ValueError`` naming
+    those tids.
     """
     tid_gid = spark.createDataFrame(meta[["tid", "gid"]])
     info = _group_info(meta)
     # At most one task per core, each compressing whole groups (§IV-C).
     # AQE neither coalesces nor splits a partition count set here, and
-    # every extra task costs a Python worker start (~0.25 CPU s).
+    # every extra task costs a Python task start (~0.03 CPU s in a
+    # reused worker, DESIGN.md §4).  The left join keeps points of an
+    # unknown tid, as the null gid's group, so that ``compress`` rejects
+    # them.
     n_tasks = min(len(info), spark.sparkContext.defaultParallelism)
-    with_gid = points.join(F.broadcast(tid_gid), "tid").repartition(
+    with_gid = points.join(F.broadcast(tid_gid), "tid", "left").repartition(
         n_tasks, "gid")
 
     def compress(pdf: pd.DataFrame) -> pd.DataFrame:
-        gid = int(pdf["gid"].iloc[0])
+        trim_importer_cache()
+        gid = pdf["gid"].iloc[0]
+        if pd.isna(gid):
+            raise _unknown_tids(pdf["tid"])
+        gid = int(gid)
         return pd.DataFrame(segment_columns(compress_points(
             pdf, gid, info[gid], eps_pct, model_types=model_types)))
 
@@ -116,7 +131,11 @@ def ingest_local(points: pd.DataFrame, meta: pd.DataFrame, eps_pct: float,
                  stats: Optional[CompressStats] = None) -> list[Segment]:
     """Driver-side ingestion of a pandas points frame (used by the
     instrumented compression experiments, where per-group CompressStats
-    must be aggregated — applyInPandas cannot return side channels)."""
+    must be aggregated — applyInPandas cannot return side channels).
+    Points whose tid is not in ``meta`` raise ``ValueError``."""
+    known = points["tid"].isin(meta["tid"])
+    if not known.all():
+        raise _unknown_tids(points.loc[~known, "tid"])
     info = _group_info(meta)
     out: list[Segment] = []
     for gid, pdf in points.groupby(points["tid"].map(

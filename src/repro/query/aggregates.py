@@ -26,6 +26,7 @@ from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from ..core.model_types import registry
+from ..worker import trim_importer_cache
 from .decode import INTERVALS, VIEW_COLS, cut, partials, view_columns
 
 
@@ -51,6 +52,7 @@ def segment_partials(view: DataFrame, group_cols: Sequence[str] = ("tid",),
     types = registry()
 
     def compute(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        trim_importer_cache()
         for pdf in batches:
             cols = view_columns(pdf)
             row, first, count, bucket = cut(cols, interval)

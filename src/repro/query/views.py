@@ -21,6 +21,7 @@ from pyspark.sql import functions as F
 
 from ..core.model_types import registry
 from ..storage import datasource, segment_store
+from ..worker import trim_importer_cache
 from . import decode
 
 _META_CORE = ("tid", "gid", "bitpos", "scaling", "si")
@@ -92,6 +93,7 @@ def data_point_view(spark: SparkSession, store_path: str,
     types = registry()  # read on the driver, as in segment_partials
 
     def expand(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        trim_importer_cache()
         for pdf in batches:
             yield decode.points(pdf, types)
 

@@ -26,15 +26,17 @@ from typing import List, Optional, Sequence
 
 from pyspark.sql.datasource import DataSource, DataSourceReader, InputPartition
 
+from ..worker import trim_importer_cache
 from .schema import SEGMENT_SCHEMA, segment_columns
 
 # A partition costs two Python task starts, the scan read and the
-# ``mapInPandas`` step over its rows: about 0.6 CPU s on a 4-core Xeon,
-# mostly PySpark re-reading its own zip archives per task.  Model-based
-# partials cost about 50 µs per Segment View row, so below about
-# 0.6 s / 50 µs ≈ 12 000 rows the fixed cost is larger than the work.
-# A segment gives at least one view row, so 2**14 segments per partition
-# keep the fixed cost below the work it parallelises.
+# ``mapInPandas`` step over its rows: 0.04–0.11 CPU s on a 4-core Xeon
+# in reused workers, since every worker function trims the importer
+# cache (``repro.worker``).  Model-based partials cost about 50 µs per
+# Segment View row, so below about 0.1 s / 50 µs ≈ 2 000 rows the fixed
+# cost is larger than the work.  A segment gives at least one view row,
+# so 2**14 segments per partition keep the fixed cost well below the
+# work it parallelises.
 SEGMENTS_PER_PARTITION = 2 ** 14
 
 
@@ -60,6 +62,7 @@ class ModelarSegmentReader(DataSourceReader):
         """Consecutive pruned files, closed at ``SEGMENTS_PER_PARTITION``
         segments; an empty scan is one partition with no files, so it
         plans an empty DataFrame instead of failing."""
+        trim_importer_cache()
         from .segment_store import list_footers
 
         parts: List[InputPartition] = []
@@ -85,6 +88,7 @@ class ModelarSegmentReader(DataSourceReader):
         constant, which is what makes model-based aggregates pay off
         (paper §VI-A).
         """
+        trim_importer_cache()
         import pyarrow as pa
 
         from .segment_store import read_file
@@ -104,9 +108,11 @@ class ModelarDataSource(DataSource):
         return "modelardb"
 
     def schema(self):
+        trim_importer_cache()
         return SEGMENT_SCHEMA
 
     def reader(self, schema) -> ModelarSegmentReader:
+        trim_importer_cache()
         return ModelarSegmentReader(self.options)
 
 

@@ -143,6 +143,15 @@ class TestPivot:
         with pytest.raises(ValueError, match=f"group {gid}: .*repeated"):
             ingest_local(pts, meta, 0.0)
 
+    def test_ingest_rejects_points_of_a_tid_not_in_meta(self):
+        """Grouping by a NaN gid would drop that tid's points unseen."""
+        ds = ep_like(n_entities=1, n_points=50, seed=3)
+        meta = singleton_groups(ds.meta)
+        unknown = int(meta["tid"].max())
+        with pytest.raises(ValueError,
+                           match=rf"tids \[{unknown}\] have no gid"):
+            ingest_local(ds.points, meta[meta["tid"] != unknown], 0.0)
+
 
 class TestErrorMetric:
     def test_zero_error_when_identical(self):

@@ -6,9 +6,13 @@ bitmask, or a bad pushdown shows up as a wrong result — not just "it
 ran".  ε = 0 makes GOLEMM lossless (modulo float32, which the
 generators already emit), so exact comparison is legitimate.
 """
+import sys
+import zipimport
+
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.errors import PythonException
 from pyspark.sql import functions as F
 
 from repro import oracle
@@ -29,6 +33,7 @@ from repro.query.views import data_point_view, segment_scan, segment_view
 from repro.storage import datasource, segment_store
 from repro.storage.datasource import ModelarSegmentReader
 from repro.storage.segment_store import write_store
+from repro.worker import trim_importer_cache
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +137,16 @@ class TestSparkIngest:
         oracle.assert_equivalent(got, "SELECT tid, ts, value FROM pts",
                                  pts=pts)
         assert got.count() == len(pts)
+
+    def test_spark_ingest_rejects_points_of_a_tid_not_in_meta(self, spark):
+        """An inner join would drop that tid's points unseen."""
+        ds = ep_like(n_entities=1, n_points=50, seed=3)
+        meta = singleton_groups(ds.meta)
+        unknown = int(meta["tid"].max())
+        with pytest.raises(PythonException,
+                           match=rf"tids \[{unknown}\] have no gid"):
+            ingest(spark, ds.to_spark(spark),
+                   meta[meta["tid"] != unknown], 0.0).collect()
 
     def test_ingestion_covers_every_point(self, ds, grouped_meta):
         segs = ingest_local(ds.points, grouped_meta, eps_pct=0.0)
@@ -287,6 +302,27 @@ class TestViews:
             "SELECT measure_category, COUNT(*) AS c FROM pts "
             "GROUP BY measure_category ORDER BY measure_category",
             pts=pts)
+
+
+class TestPythonWorkers:
+    def test_worker_keeps_no_zip_importer(self, spark, store, ds):
+        """After the trim a reused Python worker has no archive for
+        PySpark's per-task ``invalidate_caches()`` to re-read, and the
+        Data Point View it feeds still rebuilds every point."""
+        points = data_point_view(spark, store)
+        oracle.assert_equivalent(points, "SELECT tid, ts, value FROM pts",
+                                 pts=ds.points)
+
+        def zip_importers(batches):
+            trim_importer_cache()
+            n = sum(isinstance(v, zipimport.zipimporter)
+                    for v in sys.path_importer_cache.values())
+            for _ in batches:
+                pass
+            yield pd.DataFrame({"n": [n]})
+
+        counts = points.mapInPandas(zip_importers, "n long").collect()
+        assert counts and all(r.n == 0 for r in counts)
 
 
 class TestSimpleAggregates:
