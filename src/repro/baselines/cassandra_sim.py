@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import os
-import struct
 import zlib
 from typing import Iterator, Optional
 
@@ -23,24 +22,23 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-_REC = struct.Struct("<iqf")
+#: One row record, packed: ``struct`` format ``<iqf``, 16 bytes.
+_ROW = np.dtype([("tid", "<i4"), ("ts", "<i8"), ("value", "<f4")])
 CHUNK_ROWS = 65_536
 
 
 def write(points: pd.DataFrame, path: str) -> None:
     os.makedirs(path, exist_ok=True)
-    rows = points.sort_values(["tid", "ts"]).reset_index(drop=True)
-    tids = rows["tid"].to_numpy(np.int32)
-    ts = rows["ts"].to_numpy(np.int64)
-    vals = rows["value"].to_numpy(np.float32)
+    sorted_points = points.sort_values(["tid", "ts"])
+    rows = np.empty(len(sorted_points), _ROW)
+    for name in _ROW.names:
+        rows[name] = sorted_points[name].to_numpy(_ROW[name])
+    tids, ts = rows["tid"], rows["ts"]
     index = []
     with open(os.path.join(path, "data.bin"), "wb") as f:
         for start in range(0, len(rows), CHUNK_ROWS):
             end = min(start + CHUNK_ROWS, len(rows))
-            buf = bytearray()
-            for i in range(start, end):
-                buf += _REC.pack(int(tids[i]), int(ts[i]), float(vals[i]))
-            comp = zlib.compress(bytes(buf), 1)
+            comp = zlib.compress(rows[start:end].tobytes(), 1)
             index.append({
                 "offset": f.tell(), "length": len(comp), "rows": end - start,
                 "tid_min": int(tids[start]), "tid_max": int(tids[end - 1]),
@@ -66,13 +64,14 @@ def _iter_chunks(path: str, tid: Optional[int] = None,
             if tid is not None and not (entry["tid_min"] <= tid
                                         <= entry["tid_max"]):
                 continue
-            if ts_min is not None and entry["ts_max"] < ts_min \
-                    and entry["tid_min"] == entry["tid_max"]:
+            # The index's time range covers every row of the chunk.
+            if ts_min is not None and entry["ts_max"] < ts_min:
+                continue
+            if ts_max is not None and entry["ts_min"] > ts_max:
                 continue
             f.seek(entry["offset"])
             raw = zlib.decompress(f.read(entry["length"]))
-            arr = np.frombuffer(raw, dtype=[("tid", "<i4"), ("ts", "<i8"),
-                                            ("value", "<f4")])
+            arr = np.frombuffer(raw, dtype=_ROW)
             yield pd.DataFrame({"tid": arr["tid"], "ts": arr["ts"],
                                 "value": arr["value"]})
 

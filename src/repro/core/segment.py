@@ -97,10 +97,16 @@ def pack(segments: List[Segment]) -> bytes:
 
 
 def unpack(data: bytes) -> Iterator[Segment]:
+    """Deserialise :func:`pack`'s records; a buffer that ends inside a
+    record raises ``ValueError`` naming the record's offset."""
     pos = 0
     n = len(data)
     while pos < n:
+        if n - pos < _HDR.size:
+            raise ValueError(f"truncated segment header at offset {pos}")
         gid, end_time, si, size, mid, gaps, plen = _HDR.unpack_from(data, pos)
+        if n - pos - _HDR.size < plen:
+            raise ValueError(f"truncated segment parameters at offset {pos}")
         pos += _HDR.size
         params = data[pos:pos + plen]
         pos += plen

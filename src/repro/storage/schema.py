@@ -8,9 +8,11 @@ Three logical tables:
 * **Model** — Mid → model-type name (the paper maps Mids to Java
   classpaths; here to the Python registry in ``repro.core``).
 * **Segment** — the compressed segments; stored in the custom ``.mdb``
-  format (``segment_store.py``) and scanned through the ``modelardb``
-  DataSourceV2.  ``StartTime`` is derived from ``EndTime``, ``Size`` and
-  ``SI`` on read, exactly as the paper's Cassandra schema does.
+  format (``segment_store.py``: ``core.segment.pack`` records, zlib level
+  1 per file like the Cassandra stand-in; GOLEMM still costs segments by
+  ``HEADER_BYTES``) and scanned through the ``modelardb`` DataSourceV2.
+  ``StartTime`` is derived from ``EndTime``, ``Size`` and ``SI`` on read,
+  exactly as the paper's Cassandra schema does.
 
 The Spark ingest and the ``modelardb`` DataSource both emit Segment
 rows built by :func:`segment_columns`.

@@ -8,7 +8,9 @@ directory::
                             #   si, <dimension columns>)
       model.json            # Model table: mid → model-type name
       segments/
-        part-00000.mdb      # packed Segment records (core/segment.py)
+        part-00000.mdb      # zlib level 1 over the packed Segment records
+                            #   (core/segment.py), in (gid, end_time, gaps)
+                            #   order
         part-00000.json     # footer: count, Gids, min start_time,
                             #   max end_time
 
@@ -21,11 +23,21 @@ reads with Gid or time predicates skip whole files, and
 are the unit of pruning, not of scan parallelism: the ``modelardb``
 reader packs the files that remain into partitions by their footers'
 segment counts (``datasource.py``).
+
+Each ``.mdb`` file is compressed whole with zlib at level 1, as the
+Cassandra stand-in compresses its chunks (``baselines/cassandra_sim.py``):
+Cassandra compresses its SSTables with LZ4, and zlib level 1 is in LZ4's
+ratio class.  :func:`~repro.core.segment.pack` stays the record codec, so
+segments are byte-identical whatever the file codec, and GOLEMM still
+costs a segment by its logical ``HEADER_BYTES`` plus parameters.  The
+zlib stream's Adler-32 check makes a corrupted or truncated file raise
+on read.
 """
 from __future__ import annotations
 
 import json
 import os
+import zlib
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
@@ -34,6 +46,9 @@ import pandas as pd
 from ..core.model_types import by_mid, registered_mids
 from ..core.segment import Segment, pack, unpack
 from ..dims.partitioner import partition_groups
+
+#: zlib level of the ``.mdb`` files: the Cassandra stand-in's level.
+ZLIB_LEVEL = 1
 
 
 def write_store(segments: Sequence[Segment], meta: pd.DataFrame, path: str,
@@ -52,7 +67,7 @@ def write_store(segments: Sequence[Segment], meta: pd.DataFrame, path: str,
                       key=lambda s: (s.gid, s.end_time, s.gaps))
         base = os.path.join(path, "segments", f"part-{worker:05d}")
         with open(base + ".mdb", "wb") as f:
-            f.write(pack(segs))
+            f.write(zlib.compress(pack(segs), ZLIB_LEVEL))
         footer = {
             "count": len(segs),
             "start_time_min": min((s.start_time for s in segs), default=0),
@@ -111,10 +126,16 @@ def list_files(path: str, gids: Optional[Sequence[int]] = None,
 def read_file(fname: str, gids: Optional[Sequence[int]] = None,
               min_end_time: Optional[int] = None,
               max_start_time: Optional[int] = None) -> Iterator[Segment]:
-    """The segments of one ``.mdb`` file that match the predicates."""
+    """The segments of one ``.mdb`` file that match the predicates; a
+    corrupted or truncated file raises ``zlib.error`` or ``ValueError``."""
     gid_set = set(gids) if gids is not None else None
     with open(fname, "rb") as f:
-        data = f.read()
+        raw = f.read()
+    inflate = zlib.decompressobj()
+    data = inflate.decompress(raw)
+    if not inflate.eof or inflate.unused_data:
+        raise ValueError(f"{fname}: truncated, or bytes after its zlib "
+                         "stream")
     for seg in unpack(data):
         if gid_set is not None and seg.gid not in gid_set:
             continue

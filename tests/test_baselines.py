@@ -1,4 +1,8 @@
 """Tests for the baseline systems: formats, Cassandra-sim, InfluxDB-sim, MDB."""
+import os
+import struct
+import zlib
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -76,6 +80,43 @@ class TestCassandraSim:
         cassandra_sim.write(ds.points, path)
         raw = len(ds.points) * 16  # 4 + 8 + 4 bytes per row
         assert cassandra_sim.store_bytes(path) < raw
+
+    def test_rows_match_struct_reference(self, ds, tmp_path, monkeypatch):
+        # data.bin is zlib-1 chunks of struct "<iqf" rows in (tid, ts) order.
+        monkeypatch.setattr(cassandra_sim, "CHUNK_ROWS", 100)
+        path = str(tmp_path / "cas5")
+        cassandra_sim.write(ds.points.sample(frac=1.0, random_state=3), path)
+        rows = ds.points.sort_values(["tid", "ts"])
+        rec = struct.Struct("<iqf")
+        recs = [rec.pack(int(t), int(s), float(v)) for t, s, v in zip(
+            rows["tid"], rows["ts"], rows["value"].to_numpy(np.float32))]
+        want = b"".join(zlib.compress(b"".join(recs[i:i + 100]), 1)
+                        for i in range(0, len(recs), 100))
+        with open(os.path.join(path, "data.bin"), "rb") as f:
+            assert f.read() == want
+
+    @pytest.mark.parametrize("tid, lo, hi, n_read", [
+        (1, 250, 349, 2),      # one tid's chunks 2–3 of 0–9
+        (None, 0, 40, 2),      # chunk 2 (tid 2 only) starts after hi
+    ])
+    def test_pr_query_prunes_both_time_bounds(self, tmp_path, monkeypatch,
+                                              tid, lo, hi, n_read):
+        monkeypatch.setattr(cassandra_sim, "CHUNK_ROWS", 100)
+        n = 1000 if tid is not None else 150
+        tids = [1] if tid is not None else [1, 2]
+        pts = pd.DataFrame({"tid": np.repeat(tids, n),
+                            "ts": np.tile(np.arange(n) * 100, len(tids)),
+                            "value": np.arange(n * len(tids), dtype=float)})
+        path = str(tmp_path / "cas6")
+        cassandra_sim.write(pts, path)
+        lo, hi = lo * 100, hi * 100
+        chunks = list(cassandra_sim._iter_chunks(path, tid, lo, hi))
+        assert len(chunks) == n_read
+        got = cassandra_sim.pr_query(path, tid, lo, hi)
+        sel = pts["ts"].between(lo, hi)
+        if tid is not None:
+            sel &= pts["tid"] == tid
+        assert len(got) == sel.sum()
 
 
 class TestInfluxSim:

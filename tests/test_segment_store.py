@@ -1,6 +1,8 @@
 """Non-Spark tests: segment binary format, store layout, footer pruning."""
+import json
 import os
 import struct
+import zlib
 
 import numpy as np
 import pandas as pd
@@ -51,6 +53,14 @@ class TestSegmentBinary:
     def test_empty_pack(self):
         assert list(unpack(pack([]))) == []
 
+    @pytest.mark.parametrize("cut", [1, 4, HEADER_BYTES + 3])
+    def test_unpack_rejects_truncated_record(self, cut):
+        # The last record ends early: in its parameters, or in its header.
+        data = pack([seg(gid=1), seg(gid=2)])
+        with pytest.raises(ValueError,
+                           match=f"offset {HEADER_BYTES + 4}$"):
+            list(unpack(data[:-cut]))
+
     def test_pack_rejects_inconsistent_start_time(self):
         # start_time is derived from end_time on read, so it must agree;
         # an assert would vanish under python -O.
@@ -75,9 +85,41 @@ class TestStoreLayout:
                  if f.endswith(".mdb")]
         assert len(files) == 3
 
-    def test_bytes_match_sum(self, store):
+    def test_files_are_zlib_packed_segments(self, store):
+        # Each file inflates to exactly pack() of its segments in key
+        # order; store_bytes counts the compressed files.
         path, segs, _ = store
-        assert segment_store.store_bytes(path) == segments_bytes(segs)
+        seg_dir = os.path.join(path, "segments")
+        total, n_stored = 0, 0
+        for name in sorted(os.listdir(seg_dir)):
+            if not name.endswith(".mdb"):
+                continue
+            with open(os.path.join(seg_dir, name[:-4] + ".json")) as f:
+                gids = json.load(f)["gids"]
+            mine = sorted((s for s in segs if s.gid in gids),
+                          key=lambda s: (s.gid, s.end_time, s.gaps))
+            with open(os.path.join(seg_dir, name), "rb") as f:
+                raw = f.read()
+            assert zlib.decompress(raw) == pack(mine)
+            total += len(raw)
+            n_stored += len(mine)
+        assert n_stored == len(segs)
+        assert segment_store.store_bytes(path) == total
+        assert total < segments_bytes(segs)
+
+    def test_corrupted_file_raises(self, store):
+        # A cut, an appended byte, and each one-byte flip of a whole file.
+        path, _, _ = store
+        fname = segment_store.list_files(path)[0]
+        with open(fname, "rb") as f:
+            good = f.read()
+        for bad in (good[:-1], good + b"\0",
+                    *(good[:i] + bytes([good[i] ^ 0xFF]) + good[i + 1:]
+                      for i in range(len(good)))):
+            with open(fname, "wb") as f:
+                f.write(bad)
+            with pytest.raises((ValueError, zlib.error)):
+                list(segment_store.read_segments(path))
 
     def test_read_all_segments(self, store):
         path, segs, _ = store
