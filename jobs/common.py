@@ -2,7 +2,8 @@
 
 Each ``jobs/t*.py`` reproduces one table of the paper's evaluation
 (DESIGN.md §5) and prints its rows; run them as
-``spark-submit jobs/tN_… .py`` or ``python jobs/tN_… .py``.
+``python jobs/tN_… .py`` (no install needed), or as
+``PYTHONPATH=src spark-submit --driver-memory … jobs/tN_… .py``.
 """
 from __future__ import annotations
 
@@ -14,38 +15,8 @@ import pandas as pd
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-
-def driver_memory() -> str:
-    """Half of MemTotal in GiB, clamped to 2..8 g (the tier-1 rule)."""
-    try:
-        with open("/proc/meminfo") as f:
-            for line in f:
-                if line.startswith("MemTotal:"):
-                    g = int(line.split()[1]) // 2097152
-                    return f"{min(max(g, 2), 8)}g"
-    except (OSError, ValueError, IndexError):
-        pass
-    return "2g"
-
-
-def get_spark(app: str):
-    # spark.driver.memory is read at JVM launch, so it must be in
-    # PYSPARK_SUBMIT_ARGS before pyspark is imported (the job-scale data
-    # sets OOM the 1g default heap otherwise).
-    mem = os.environ.get("SPARK_DRIVER_MEM") or driver_memory()
-    os.environ.setdefault(
-        "PYSPARK_SUBMIT_ARGS",
-        f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-        f"--driver-memory {mem} "
-        "--conf spark.driver.host=127.0.0.1 "
-        "--conf spark.ui.enabled=false pyspark-shell",
-    )
-    from pyspark.sql import SparkSession
-
-    return (SparkSession.builder.appName(app)
-            .config("spark.sql.shuffle.partitions", "64")
-            .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-            .getOrCreate())
+# Sets PYTHONPATH for Spark's Python workers and the driver heap.
+from repro.session import spark_session as get_spark  # noqa: E402,F401
 
 
 def workdir(name: str) -> str:

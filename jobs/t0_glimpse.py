@@ -8,7 +8,7 @@ from common import show
 def main() -> None:
     from repro.experiments import glimpse_table
 
-    show("T0 — §V glimpse: grouped vs separate (eps=0)", glimpse_table(0.0))
+    show("T0 — §V glimpse: grouped vs separate (eps=0)", glimpse_table())
 
 
 if __name__ == "__main__":

@@ -163,7 +163,6 @@ def _best_segment(ts: np.ndarray, V: np.ndarray, delta: np.ndarray,
 class _SubGroup:      # and list.remove() must match by instance anyway
     series: np.ndarray       # chunk-local column indices
     pos: int                 # next timestamp index to compress
-    segments_since: int = 0  # segments emitted since last merge attempt
 
 
 def compress_chunk(ts: np.ndarray, V: np.ndarray, delta: np.ndarray,
@@ -204,7 +203,6 @@ def compress_chunk(ts: np.ndarray, V: np.ndarray, delta: np.ndarray,
         st.segments += 1
         st.model_counts[mid] = st.model_counts.get(mid, 0) + 1
         sg.pos += length
-        sg.segments_since += 1
 
         r = emitted.ratio()
         avg = ratio_sum / ratio_n if ratio_n else r

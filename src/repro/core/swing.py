@@ -38,9 +38,6 @@ class Swing(ModelType):
         v1 = float(V[0].mean())
         if not (((V[0] - delta[0]) <= v1) & (v1 <= (V[0] + delta[0]))).all():
             return FitResult(0, None)
-        if n_t == 1:
-            p = struct.pack("<ff", v1, v1)
-            return FitResult(1, p)
         dt = (ts[1:] - ts[0]).astype(np.float64)[:, None]
         # float64: in float32, ``v - v1`` loses up to half an ulp of v1,
         # which exceeds the bound of a small v after a large anchor.
@@ -51,16 +48,12 @@ class Swing(ModelType):
         LO = np.maximum.accumulate(lo_t)
         valid = LO <= UP
         k = first_false(valid)
-        if k == 0:
+        if k == 0:  # also one timestamp: no slope interval at all
             p = struct.pack("<ff", v1, v1)
             return FitResult(1, p)
         slope = (LO[k - 1] + UP[k - 1]) / 2.0
         v_end = v1 + slope * float(ts[k] - ts[0])
         return FitResult(k + 1, struct.pack("<ff", v1, float(v_end)))
-
-    @staticmethod
-    def endpoints(params: bytes):
-        return struct.unpack("<ff", params)
 
     def reconstruct(self, params, ts, n_series):
         v_s, v_e = struct.unpack("<ff", params)

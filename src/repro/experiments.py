@@ -449,13 +449,13 @@ def s_agg_table(ctx: QueryContext, rounds: int = 3) -> pd.DataFrame:
     return timed(cases, rounds).round({"seconds": 3})
 
 
-def pr_table(ctx: QueryContext, rounds: int = 3,
-             frac: float = 0.02) -> pd.DataFrame:
-    """Table T9: point/range queries (WHERE on Tid and TS)."""
+def pr_table(ctx: QueryContext, rounds: int = 3) -> pd.DataFrame:
+    """Table T9: point/range queries (WHERE on Tid and TS) over 2 % of
+    one series' time range."""
     spark, ds, stores = ctx.spark, ctx.ds, ctx.stores
     tid = int(ds.meta["tid"].iloc[0])
     t_lo, t_hi = int(ds.points["ts"].min()), int(ds.points["ts"].max())
-    span = int((t_hi - t_lo) * frac)
+    span = int((t_hi - t_lo) * 0.02)
     lo = t_lo + (t_hi - t_lo) // 3
     hi = lo + span
     cases = []
@@ -535,9 +535,10 @@ def query_error_table(ctx: QueryContext) -> pd.DataFrame:
     return pd.DataFrame(rows)
 
 
-def glimpse_table(eps: float = 0.0) -> pd.DataFrame:
+def glimpse_table() -> pd.DataFrame:
     """§V's glimpse: seven correlated series compressed together vs
-    separately (paper: grouping saves 67.2 % at ε = 0)."""
+    separately at ε = 0 (paper: grouping saves 67.2 %)."""
+    eps = 0.0
     rng = np.random.default_rng(42)
     n = 4096
     # Energy frequency sensors report on a quantised grid (0.01 Hz);

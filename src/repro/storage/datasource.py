@@ -40,11 +40,6 @@ from .schema import SEGMENT_SCHEMA, segment_columns
 SEGMENTS_PER_PARTITION = 2 ** 14
 
 
-class _FilesPartition(InputPartition):
-    def __init__(self, paths: List[str]):
-        self.paths = paths
-
-
 class ModelarSegmentReader(DataSourceReader):
     def __init__(self, options):
         self.path = options.get("path")
@@ -74,14 +69,15 @@ class ModelarSegmentReader(DataSourceReader):
             paths.append(path)
             count += footer["count"]
             if count >= SEGMENTS_PER_PARTITION:
-                parts.append(_FilesPartition(paths))
+                parts.append(InputPartition(paths))
                 paths, count = [], 0
         if paths or not parts:
-            parts.append(_FilesPartition(paths))
+            parts.append(InputPartition(paths))
         return parts
 
-    def read(self, partition: _FilesPartition):
-        """Yield one Arrow RecordBatch per ``.mdb`` file of the partition.
+    def read(self, partition: InputPartition):
+        """Yield one Arrow RecordBatch per ``.mdb`` file of the partition
+        (its ``value``, a list of paths).
 
         Arrow batches avoid per-row Python→JVM conversion — the scan
         cost is then linear in the number of *segments* with a small
@@ -93,7 +89,7 @@ class ModelarSegmentReader(DataSourceReader):
 
         from .segment_store import read_file
 
-        for path in partition.paths:
+        for path in partition.value:
             segs = list(read_file(path, self.gids, self.min_end_time,
                                   self.max_start_time))
             if segs:

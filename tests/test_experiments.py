@@ -164,7 +164,7 @@ class TestDistanceTable:
 
 class TestGlimpse:
     def test_grouping_saves_storage(self):
-        t = ex.glimpse_table(eps=0.0)
+        t = ex.glimpse_table()
         assert t["saving_pct"].iloc[0] > 30.0
 
 

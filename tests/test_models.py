@@ -158,7 +158,7 @@ class TestSwing:
         d = delta_for(V, 5.0)
         res = Swing().fit(ts, V, d, 50)
         assert res.length == 10
-        v_s, _ = Swing.endpoints(res.params)
+        v_s, _ = struct.unpack("<ff", res.params)
         assert v_s == pytest.approx(10.1, abs=1e-3)
 
     def test_group_spread_first_values_reject(self):

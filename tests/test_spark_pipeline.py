@@ -204,7 +204,7 @@ class TestStoreAndDataSource:
         assert {s.gid for s in segment_store.read_file(early)} == {1}
         reader = ModelarSegmentReader({"path": path,
                                        "max_start_time": "4000"})
-        assert [p.paths for p in reader.partitions()] == [[early]]
+        assert [p.value for p in reader.partitions()] == [[early]]
         scan = segment_scan(spark, path, max_start_time=4000)
         assert sorted(r["start_time"] for r in scan.collect()) == [0, 1000]
 
@@ -213,13 +213,13 @@ class TestStoreAndDataSource:
         write_store([], grouped_meta, path, n_workers=2)
         assert segment_scan(spark, path).count() == 0
         (part,) = ModelarSegmentReader({"path": path}).partitions()
-        assert part.paths == []
+        assert part.value == []
 
     def test_empty_gid_list_selects_no_group(self, spark, store):
         assert segment_scan(spark, store, gids=[]).count() == 0
         (part,) = ModelarSegmentReader({"path": store,
                                         "gids": ""}).partitions()
-        assert part.paths == []
+        assert part.value == []
 
     def test_small_store_scans_in_one_partition(self, spark, store):
         assert len(segment_store.list_files(store)) == 4
@@ -234,7 +234,7 @@ class TestStoreAndDataSource:
                               10 ** 9):
             monkeypatch.setattr(datasource, "SEGMENTS_PER_PARTITION",
                                 per_partition)
-            parts = [p.paths for p in
+            parts = [p.value for p in
                      ModelarSegmentReader({"path": store}).partitions()]
             assert [f for paths in parts for f in paths] == sorted(counts)
             for paths in parts[:-1]:
