@@ -194,6 +194,14 @@ class TestPivot:
                            match=rf"tids \[{unknown}\] have no gid"):
             ingest_local(ds.points, meta[meta["tid"] != unknown], 0.0)
 
+    @pytest.mark.parametrize("dtype", ["Int64", "float64"])
+    def test_ingest_rejects_points_of_a_null_tid(self, dtype):
+        ds = ep_like(n_entities=1, n_points=50, seed=3)
+        pts = ds.points.astype({"tid": dtype})
+        pts.loc[pts.index[:3], "tid"] = None
+        with pytest.raises(ValueError, match=r"tids \[null\] have no gid"):
+            ingest_local(pts, singleton_groups(ds.meta), 0.0)
+
 
 class TestErrorMetric:
     def test_zero_error_when_identical(self):

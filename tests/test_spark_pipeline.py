@@ -11,6 +11,7 @@ import zipimport
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 from pyspark.errors import PythonException
 from pyspark.sql import functions as F
@@ -80,7 +81,10 @@ def _plan_nodes(df):
 class TestSparkIngest:
     def test_spark_and_local_ingestion_agree(self, spark):
         """The Spark ingest stores exactly the driver-side segments, after
-        one shuffle into ``min(#groups, defaultParallelism)`` tasks."""
+        one shuffle into ``min(#groups, defaultParallelism)`` tasks that
+        moves one block per Gid and input partition, not one row per
+        point.  ``ingest`` turns off Spark's Arrow size probe, and the
+        record bound still cuts every batch sent to Python."""
         n_cores = spark.sparkContext.defaultParallelism
         ds = ep_like(n_entities=n_cores // 5 + 2, n_points=256, seed=21,
                      gap_prob=0.3)
@@ -88,6 +92,7 @@ class TestSparkIngest:
         one_group = singletons.assign(gid=1, bitpos=np.argsort(np.argsort(
             singletons["tid"].to_numpy())))
         points = ds.to_spark(spark)
+        n_parts = points.rdd.getNumPartitions()
         for meta in (singletons, one_group):
             n_groups = meta["gid"].nunique()
             for eps in (0.0, 5.0):
@@ -101,7 +106,82 @@ class TestSparkIngest:
                 assert len(shuffles) == 1
                 assert (shuffles[0].outputPartitioning().numPartitions()
                         == min(n_groups, n_cores))
+                records = shuffles[0].metrics().get(
+                    "shuffleRecordsWritten").get().value()
+                assert 0 < records <= n_parts * n_groups < len(ds.points)
         assert len(singletons) > n_cores
+        assert spark.conf.get(
+            "spark.sql.execution.arrow.maxBytesPerBatch") == "2147483647"
+        key, limit = "spark.sql.execution.arrow.maxRecordsPerBatch", 100
+        default = spark.conf.get(key)
+        spark.conf.set(key, str(limit))
+        try:
+            rows = points.mapInArrow(lambda batches: (
+                pa.RecordBatch.from_pydict({"n": [b.num_rows]})
+                for b in batches), "n long").toPandas()["n"]
+        finally:
+            spark.conf.set(key, default)
+        assert rows.max() == limit and rows.sum() == len(ds.points)
+
+    def test_group_split_across_input_partitions(self, spark):
+        """Blocks of one group from several input partitions, one of them
+        empty, give the driver-side segments, and ``pivot_group`` still
+        sees the whole group: a repeated point or an off-grid timestamp
+        in another partition fails the load naming the Gid."""
+        ds = ep_like(n_entities=2, n_points=128, seed=5, gap_prob=0.2)
+        meta, _ = group_time_series(ds.meta, list(ds.dims),
+                                    [clause(Distance.auto(ds.dims))])
+        points = ds.to_spark(spark).repartition(7).where(
+            F.spark_partition_id() != 3)
+        placed = points.select(
+            "tid", F.spark_partition_id().alias("part")).toPandas()
+        assert sorted(placed["part"].unique()) == [0, 1, 2, 4, 5, 6]
+        assert points.rdd.getNumPartitions() == 7
+        gid_of = meta.set_index("tid")["gid"]
+        assert (placed.groupby(placed["tid"].map(gid_of))["part"].nunique()
+                > 1).all()
+        kept = points.toPandas()
+        for eps in (0.0, 5.0):
+            via_spark = [Segment(*r) for r in
+                         ingest(spark, points, meta, eps).collect()]
+            assert (sorted(via_spark, key=_segment_key)
+                    == sorted(ingest_local(kept, meta, eps),
+                              key=_segment_key)), eps
+        row = kept.iloc[[0]]
+        gid = int(gid_of[row["tid"].iloc[0]])
+        for bad, error in ((row, "repeated"),
+                           (row.assign(ts=row["ts"] + 1), "off the SI")):
+            extra = spark.createDataFrame(bad, points.schema).coalesce(1)
+            with pytest.raises(PythonException,
+                               match=f"group {gid}: .*{error}"):
+                ingest(spark, points.union(extra), meta, 0.0).collect()
+
+    def test_column_types_give_the_same_segments(self, spark):
+        """Points as ``tid bigint, ts bigint, value double`` give the
+        segments of ``tid int, value float``: the doubles round to
+        float32 as ``pivot_group`` rounds them."""
+        ds = ep_like(n_entities=1, n_points=128, seed=8, gap_prob=0.2)
+        meta = singleton_groups(ds.meta)
+        wide = ds.points.astype({"tid": np.int64, "ts": np.int64,
+                                 "value": np.float64})
+        wide["value"] *= 1 + np.random.default_rng(8).uniform(
+            -1e-4, 1e-4, len(wide))
+        narrow = wide.astype({"tid": np.int32, "value": np.float32})
+        assert (narrow["value"].to_numpy(np.float64)
+                != wide["value"].to_numpy()).mean() > 0.9
+        frames = {"wide": spark.createDataFrame(wide),
+                  "narrow": spark.createDataFrame(narrow)}
+        assert frames["wide"].dtypes == [
+            ("tid", "bigint"), ("ts", "bigint"), ("value", "double")]
+        assert frames["narrow"].dtypes == [
+            ("tid", "int"), ("ts", "bigint"), ("value", "float")]
+        for eps in (0.0, 5.0):
+            local = sorted(ingest_local(wide, meta, eps), key=_segment_key)
+            for name, frame in frames.items():
+                via_spark = [Segment(*r) for r in
+                             ingest(spark, frame, meta, eps).collect()]
+                assert sorted(via_spark, key=_segment_key) == local, (
+                    name, eps)
 
     def test_gap_in_series_64_through_spark(self, spark, tmp_path):
         """A 64-series group whose last series has a gap sets bit 63 of
@@ -147,6 +227,18 @@ class TestSparkIngest:
                            match=rf"tids \[{unknown}\] have no gid"):
             ingest(spark, ds.to_spark(spark),
                    meta[meta["tid"] != unknown], 0.0).collect()
+
+    def test_spark_ingest_rejects_points_of_a_null_tid(self, spark):
+        """``pack`` names a null tid beside an unknown one."""
+        ds = ep_like(n_entities=1, n_points=50, seed=3)
+        meta = singleton_groups(ds.meta)
+        first, unknown = int(meta["tid"].min()), int(meta["tid"].max())
+        points = ds.to_spark(spark).coalesce(1).withColumn(
+            "tid", F.when(F.col("tid") != first, F.col("tid")))
+        with pytest.raises(PythonException,
+                           match=rf"tids \[null, {unknown}\] have no gid"):
+            ingest(spark, points, meta[meta["tid"] != unknown],
+                   0.0).collect()
 
     def test_ingestion_covers_every_point(self, ds, grouped_meta):
         segs = ingest_local(ds.points, grouped_meta, eps_pct=0.0)
