@@ -28,12 +28,10 @@ class GorillaModel(ModelType):
         if n == 0:
             return FitResult(0, None)
         flat = np.ascontiguousarray(V[:n], dtype=np.float32).ravel()
-        # Encoded only if this segment wins.  At least 32 bits for the
+        # Encoded only if this segment may win.  At least 32 bits for the
         # first value and one for each other value.
-        return FitResult(
-            n, encode=lambda: gorilla.encode(flat),
-            size=lambda: -(-gorilla.encoded_size_bits(flat) // 8),
-            min_size=-(-(31 + len(flat)) // 8))
+        return FitResult(n, encode=lambda: gorilla.encode(flat),
+                         min_size=-(-(31 + len(flat)) // 8))
 
     def reconstruct(self, params, ts, n_series):
         flat = gorilla.decode(params, len(ts) * n_series)

@@ -22,9 +22,9 @@ Ingestion semantics reproduced here:
   decide it: a lossless type its ``LENGTH_BOUND`` timestamps, a lossy
   type a window of ``4·LENGTH_BOUND`` timestamps, doubled while the
   model fills it, so the work is linear in a chunk's length.
-  Candidates are ranked by exact byte size before their params are
-  built (``FitResult``); only the winner's are, so Gorilla encodes only
-  the segments it wins.
+  A candidate whose lower bound on size (``FitResult.min_size``) cannot
+  win is skipped before its params are built, so Gorilla encodes only
+  the candidates that may win, once each.
 
 * **Gaps** force segment boundaries: a segment covers a static subset of
   the group's series, recorded as a bitmask (§III-B, Fig. 5).
@@ -133,8 +133,8 @@ def _best_segment(ts: np.ndarray, V: np.ndarray, delta: np.ndarray,
     """One GOLEMM emission step from offset 0 of columns ``cols`` of the
     given buffer.
 
-    Returns (mid, length, params) of the winning model.  Only the
-    winner's params are built.
+    Returns (mid, length, params) of the winning model.  Params are
+    built only for candidates whose ``min_size`` may win.
     """
     n = len(ts)
     best, best_mid, best_bits = None, None, np.inf

@@ -18,8 +18,8 @@ zero-padded to a whole byte at the end:
   * control bits ``11``: open a new window — 5 bits leading-zero count,
     5 bits (meaningful-bit count − 1), then the meaningful bits.
 
-:func:`_fields` decides every value's field; :func:`encode` packs them
-with numpy and :func:`encoded_size_bits` sums their widths.
+:func:`_fields` decides every value's field and :func:`encode` packs
+them with numpy.
 :func:`decode` reads each field from the 64-bit big-endian word that
 starts at the field's byte, so a field (at most 44 bits, plus at most 7
 bits of offset) is always read whole.
@@ -113,8 +113,3 @@ def decode(data: bytes, n: int) -> np.ndarray:
         raise ValueError(f"Gorilla stream of {len(data)} bytes ends before "
                          f"{n} values")
     return np.array(out, dtype="<u4").view("<f4")
-
-
-def encoded_size_bits(values: np.ndarray) -> int:
-    """Exact bit size ``encode(values)`` would produce (without padding)."""
-    return int(_fields(values)[1].sum())

@@ -40,22 +40,21 @@ class FitResult:
     ``params`` is the serialised model blob for that prefix; ``None``
     when ``length == 0``.
 
-    GOLEMM ranks candidates by ``size``, the blob's exact byte length,
-    and skips one whose ``min_size`` cannot win.  A type whose blob is
+    GOLEMM ranks candidates by ``size``, the blob's byte length, and
+    skips one whose ``min_size`` cannot win.  A type whose blob is
     costly to build passes ``encode`` (builds the blob) instead of
-    ``params``, with ``size`` (returns its byte length) and ``min_size``
-    (a cheap lower bound), so only the winner's blob is built.
+    ``params``, with ``min_size`` (a cheap lower bound), so a skipped
+    candidate's blob is never built.
     """
 
-    __slots__ = ("length", "_params", "_encode", "_size", "_min_size")
+    __slots__ = ("length", "_params", "_encode", "_min_size")
 
     def __init__(self, length: int, params: Optional[bytes] = None, *,
                  encode: Optional[Callable[[], bytes]] = None,
-                 size: Optional[Callable[[], int]] = None,
                  min_size: Optional[int] = None):
         self.length = length
         self._params, self._encode = params, encode
-        self._size, self._min_size = size, min_size
+        self._min_size = min_size
 
     @property
     def params(self) -> Optional[bytes]:
@@ -65,9 +64,7 @@ class FitResult:
 
     @property
     def size(self) -> int:
-        if callable(self._size):
-            self._size = self._size()
-        return len(self.params) if self._size is None else self._size
+        return len(self.params)
 
     @property
     def min_size(self) -> int:

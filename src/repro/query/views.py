@@ -65,8 +65,11 @@ def segment_view(spark: SparkSession, store_path: str,
     """Per-Tid Segment View: segments joined with the Time Series table.
 
     A Tid participates in a segment only when its gap bit is unset
-    (§III-B); Gids-are-pushed / Tids-are-queried per §VI-B.
+    (§III-B); Gids-are-pushed / Tids-are-queried per §VI-B.  A store
+    whose Model table disagrees with the registry raises ``ValueError``
+    (``segment_store.check_models``).
     """
+    segment_store.check_models(store_path)
     segs = segment_scan(spark, store_path, gids, min_end_time,
                         max_start_time)
     # The scan already carries SI per segment; drop the metadata copy to

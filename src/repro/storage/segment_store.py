@@ -6,7 +6,8 @@ directory::
     store/
       tsmeta.parquet        # Time Series table (tid, gid, bitpos, scaling,
                             #   si, <dimension columns>)
-      model.json            # Model table: mid → model-type name
+      model.json            # Model table: mid → model-type name, checked
+                            #   against the registry (check_models)
       segments/
         part-00000.mdb      # zlib level 1 over the packed Segment records
                             #   (core/segment.py), in (gid, end_time, gaps)
@@ -51,13 +52,18 @@ from ..dims.partitioner import partition_groups
 ZLIB_LEVEL = 1
 
 
+def _model_table() -> Dict[str, str]:
+    """The registry as the Model table: Mid (a JSON key) → type name."""
+    return {str(m): by_mid(m).name for m in registered_mids()}
+
+
 def write_store(segments: Sequence[Segment], meta: pd.DataFrame, path: str,
                 n_workers: int = 4) -> None:
     """Persist segments + time series metadata as a store directory."""
     os.makedirs(os.path.join(path, "segments"), exist_ok=True)
     meta.to_parquet(os.path.join(path, "tsmeta.parquet"), index=False)
     with open(os.path.join(path, "model.json"), "w") as f:
-        json.dump({str(m): by_mid(m).name for m in registered_mids()}, f)
+        json.dump(_model_table(), f)
     assignment = partition_groups(meta, n_workers)
     by_worker: Dict[int, List[Segment]] = {}
     for s in segments:
@@ -76,6 +82,20 @@ def write_store(segments: Sequence[Segment], meta: pd.DataFrame, path: str,
         }
         with open(base + ".json", "w") as f:
             json.dump(footer, f)
+
+
+def check_models(path: str) -> None:
+    """Check the store's Model table against the model-type registry.
+
+    A stored Mid the registry lacks, or gives another type name, raises
+    ``ValueError`` naming it: its segments would decode wrongly."""
+    with open(os.path.join(path, "model.json")) as f:
+        stored = json.load(f)
+    names = _model_table()
+    for mid, name in stored.items():
+        if names.get(mid) != name:
+            raise ValueError(f"{path}: Mid {mid} is {name!r} in the store's "
+                             f"Model table, {names.get(mid)!r} here")
 
 
 def store_bytes(path: str) -> int:

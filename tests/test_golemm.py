@@ -1,4 +1,6 @@
 """Unit tests for the GOLEMM compressor (core/golemm.py)."""
+from collections import Counter
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -118,22 +120,32 @@ class TestLinearWork:
         assert sum(s.length * len(s.series) for s in segs) == V.size
         assert sum(c.points for c in counted) <= 10 * V.size
 
-    def test_gorilla_encodes_only_winning_segments(self, monkeypatch):
-        calls = []
+    def test_gorilla_runs_one_field_pass_per_candidate(self, monkeypatch):
+        """A Gorilla fit is encoded at most once, also when it loses: its
+        size is its blob's length, and a winner keeps the blob it was
+        sized by."""
+        calls = {"encode": [], "fields": 0}
 
         def encode(values):
-            calls.append(len(values))
+            calls["encode"].append(len(values))
             return real_encode(values)
 
-        real_encode = gorilla.encode
+        def fields(values):
+            calls["fields"] += 1
+            return real_fields(values)
+
+        real_encode, real_fields = gorilla.encode, gorilla._fields
         monkeypatch.setattr(gorilla, "encode", encode)
+        monkeypatch.setattr(gorilla, "_fields", fields)
         V = _walk(4096, 3, seed=8)
         counted = [_Counting(mt) for mt in DEFAULT_MODEL_TYPES]
         segs = compress_group(np.arange(len(V), dtype=np.int64) * 100, V,
                               0.3, gid=1, si=100, model_types=counted)
         won = [s for s in segs if s.mid == MID_GORILLA]
-        assert 0 < len(won) < counted[2].calls   # Gorilla also lost
-        assert calls == [s.size * 3 for s in won]
+        encoded = calls["encode"]
+        assert 0 < len(won) < len(encoded) <= counted[2].calls
+        assert calls["fields"] == len(encoded)
+        assert not Counter(s.size * 3 for s in won) - Counter(encoded)
 
 
 class TestErrorBound:

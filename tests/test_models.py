@@ -222,8 +222,9 @@ class TestLossless:
 
 
 class TestSizeContract:
-    """GOLEMM ranks candidates by ``FitResult.size`` and skips one whose
-    ``min_size`` cannot win, so both must hold for every type."""
+    """GOLEMM ranks candidates by ``FitResult.size``, the blob's length,
+    and skips one whose ``min_size`` cannot win, so the bound must hold
+    for every type."""
 
     @pytest.mark.parametrize("kind", ["noise", "walk", "runs", "constant"])
     @pytest.mark.parametrize("seed", range(4))
@@ -267,7 +268,7 @@ class TestSizeContract:
             calls.append(1)
             return b"xyz"
 
-        res = FitResult(5, encode=encode, size=lambda: 3, min_size=1)
-        assert (res.size, res.min_size, calls) == (3, 1, [])
-        assert res.params == res.params == b"xyz"
+        res = FitResult(5, encode=encode, min_size=1)
+        assert (res.length, res.min_size, calls) == (5, 1, [])
+        assert res.size == 3 and res.params == res.params == b"xyz"
         assert calls == [1]

@@ -148,34 +148,41 @@ class TestStoreLayout:
         assert "gid" in got.columns
 
 
+def bad_meta(meta: pd.DataFrame, kind: str):
+    """Singleton ``meta`` made bad, and the error it must raise: tid 2
+    joins group 1 at bitpos 5, or tid 2 is also listed in a new group."""
+    meta = meta.copy()
+    if kind == "bitpos":
+        meta.loc[meta["tid"] == 2, ["gid", "bitpos"]] = [1, 5]
+        return meta, "group 1: bitpos"
+    extra = meta[meta["tid"] == 2].assign(gid=meta["gid"].max() + 1)
+    return pd.concat([meta, extra]), "tid 2 is listed more than once"
+
+
 class TestPivot:
     def test_pivot_reintroduces_gaps_as_nan(self):
-        pdf = pd.DataFrame({"tid": [1, 1, 2], "ts": [0, 200, 0],
-                            "value": [1.0, 2.0, 3.0]})
-        ts, V = pivot_group(pdf, [1, 2], si=100, gid=1)
+        ts, V = pivot_group(np.array([0, 0, 1]), np.array([0, 200, 0]),
+                            np.array([1.0, 2.0, 3.0]), 2, si=100, gid=1)
         assert list(ts) == [0, 100, 200]
         assert np.isnan(V[1, 0]) and np.isnan(V[1:, 1]).all()
         assert V[0, 1] == 3.0
 
-    def test_pivot_column_order_is_tid_order(self):
-        pdf = pd.DataFrame({"tid": [9, 3], "ts": [0, 0],
-                            "value": [9.0, 3.0]})
-        _, V = pivot_group(pdf, [3, 9], si=100, gid=1)
+    def test_pivot_column_is_the_gap_mask_bit(self):
+        _, V = pivot_group(np.array([1, 0]), np.array([0, 0]),
+                           np.array([9.0, 3.0]), 2, si=100, gid=1)
         assert V[0, 0] == 3.0 and V[0, 1] == 9.0
 
     def test_pivot_rejects_timestamp_off_the_grid(self):
         """ts 250 with SI 100 would land in the slot of 200."""
-        pdf = pd.DataFrame({"tid": [1, 1, 1], "ts": [0, 100, 250],
-                            "value": [1.0, 2.0, 3.0]})
         with pytest.raises(ValueError, match="group 7.*SI 100"):
-            pivot_group(pdf, [1], si=100, gid=7)
+            pivot_group(np.array([0, 0, 0]), np.array([0, 100, 250]),
+                        np.array([1.0, 2.0, 3.0]), 1, si=100, gid=7)
 
     def test_pivot_rejects_repeated_point(self):
         """Only the last of two (tid, ts) points would be kept."""
-        pdf = pd.DataFrame({"tid": [1, 2, 1], "ts": [0, 0, 0],
-                            "value": [1.0, 2.0, 3.0]})
         with pytest.raises(ValueError, match="group 7.*repeated"):
-            pivot_group(pdf, [1, 2], si=100, gid=7)
+            pivot_group(np.array([0, 1, 0]), np.array([0, 0, 0]),
+                        np.array([1.0, 2.0, 3.0]), 2, si=100, gid=7)
 
     def test_ingest_names_the_group_with_wrong_input(self):
         ds = ep_like(n_entities=1, n_points=50, seed=3)
@@ -193,6 +200,19 @@ class TestPivot:
         with pytest.raises(ValueError,
                            match=rf"tids \[{unknown}\] have no gid"):
             ingest_local(ds.points, meta[meta["tid"] != unknown], 0.0)
+        with pytest.raises(ValueError, match=r"tids \[1, 2, 3, 4, 5\]"):
+            ingest_local(ds.points, meta.iloc[:0], 0.0)
+        assert ingest_local(ds.points.iloc[:0], meta.iloc[:0], 0.0) == []
+
+    @pytest.mark.parametrize("kind", ["bitpos", "tid"])
+    def test_ingest_rejects_bad_meta(self, kind):
+        """bitpos [0, 5] stored without error, and every query of its
+        group then failed; a tid listed twice raised pandas'
+        ``InvalidIndexError``."""
+        ds = ep_like(n_entities=1, n_points=50, seed=3)
+        meta, error = bad_meta(singleton_groups(ds.meta), kind)
+        with pytest.raises(ValueError, match=error):
+            ingest_local(ds.points, meta, 0.0)
 
     @pytest.mark.parametrize("dtype", ["Int64", "float64"])
     def test_ingest_rejects_points_of_a_null_tid(self, dtype):

@@ -6,6 +6,9 @@ bitmask, or a bad pushdown shows up as a wrong result — not just "it
 ran".  ε = 0 makes GOLEMM lossless (modulo float32, which the
 generators already emit), so exact comparison is legitimate.
 """
+import json
+import os
+import shutil
 import sys
 import zipimport
 
@@ -13,13 +16,15 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pyspark.errors import PythonException
 from pyspark.sql import functions as F
 
 from repro import oracle
 from repro.core import model_types
 from repro.core.fallback import GorillaModel
-from repro.core.golemm import reconstruct_segment
+from repro.core.golemm import compress_group, reconstruct_segment
 from repro.core.ingest import ingest, ingest_local
 from repro.core.model_types import (MID_PMC_MEAN, FitResult, ModelType,
                                     first_false, register)
@@ -35,6 +40,7 @@ from repro.storage import datasource, segment_store
 from repro.storage.datasource import ModelarSegmentReader
 from repro.storage.segment_store import write_store
 from repro.worker import trim_importer_cache
+from tests.test_segment_store import bad_meta
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +246,15 @@ class TestSparkIngest:
             ingest(spark, points, meta[meta["tid"] != unknown],
                    0.0).collect()
 
+    @pytest.mark.parametrize("kind", ["bitpos", "tid"])
+    def test_spark_ingest_rejects_bad_meta(self, spark, kind):
+        """bitpos [0, 5] stored without error; a tid listed twice sent
+        its points to one of its Gids and stored nothing for the other."""
+        ds = ep_like(n_entities=1, n_points=50, seed=3)
+        meta, error = bad_meta(singleton_groups(ds.meta), kind)
+        with pytest.raises(ValueError, match=error):
+            ingest(spark, ds.to_spark(spark), meta, 0.0).collect()
+
     def test_ingestion_covers_every_point(self, ds, grouped_meta):
         segs = ingest_local(ds.points, grouped_meta, eps_pct=0.0)
         per_series = sum(s.size * bin(~s.gaps & ((1 << 64) - 1)).count("1")
@@ -252,6 +267,76 @@ class TestSparkIngest:
                 s.gaps & ((1 << int(sizes.loc[s.gid])) - 1)).count("1")
             total += s.size * n_present
         assert total == len(ds.points)
+
+
+@st.composite
+def _groups(draw):
+    """Points and ``meta`` of 1–3 groups, the first of up to 64 series:
+    random bitpos permutations, scalings, SIs and gaps."""
+    sizes = [draw(st.integers(1, 64) | st.just(64))] + draw(
+        st.lists(st.integers(1, 6), max_size=2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gap = draw(st.sampled_from([0.0, 0.1, 0.4]))
+    tids = rng.permutation(sum(sizes)) + 1
+    metas, frames = [], []
+    for gid, n in enumerate(sizes, start=1):
+        tid, tids = tids[:n], tids[n:]
+        si = int(rng.choice([100, 60_000, 7_200_000]))
+        metas.append(pd.DataFrame({
+            "tid": tid, "gid": gid, "bitpos": rng.permutation(n),
+            "scaling": rng.choice([0.5, 1.0, 4.0], n), "si": si}))
+        n_t = int(rng.integers(20, 120))
+        walk = 50 + np.cumsum(rng.normal(0, 0.5, (n_t, 1)), axis=0)
+        V = np.round(walk + rng.normal(0, 0.05, (n_t, n)), 3)
+        row, col = np.nonzero(rng.random((n_t, n)) >= gap)
+        frames.append(pd.DataFrame({
+            "tid": tid[col], "ts": int(rng.integers(0, 10**9)) + si * row,
+            "value": V[row, col]}))
+    return pd.concat(metas, ignore_index=True), pd.concat(frames)
+
+
+def _reference_segments(points, meta, eps):
+    """``compress_group`` on each group's values placed by ``bitpos`` and
+    divided by its scaling: what ingest must store, without its code."""
+    out = []
+    for gid, g in meta.groupby("gid"):
+        g = g.set_index("tid")
+        pts = points[points["tid"].isin(g.index)]
+        if pts.empty:
+            continue
+        si, t_lo = int(g["si"].iloc[0]), int(pts["ts"].min())
+        rows = (pts["ts"].to_numpy() - t_lo) // si
+        V = np.full((rows.max() + 1, len(g)), np.nan, np.float32)
+        V[rows, g.loc[pts["tid"], "bitpos"]] = pts["value"].to_numpy(
+            np.float32)
+        scaling = g.sort_values("bitpos")["scaling"].to_numpy(np.float32)
+        out += compress_group(t_lo + si * np.arange(len(V)),
+                              V / scaling[None, :], eps, gid=gid, si=si)
+    return sorted(out, key=_segment_key)
+
+
+class TestRandomIngest:
+    @settings(max_examples=15, deadline=None)
+    @given(data=_groups(), n_parts=st.integers(1, 7), seed=st.integers(),
+           tid=st.sampled_from([np.int32, np.int64]),
+           value=st.sampled_from([np.float32, np.float64]),
+           eps=st.sampled_from([0.0, 1.0, 10.0]))
+    def test_spark_ingest_equals_driver_ingest(self, spark, data, n_parts,
+                                               seed, tid, value, eps):
+        """``ingest`` stores ``ingest_local``'s segments, and both store
+        those of the groups' values placed by ``bitpos``, whatever the
+        input partitions (some empty) and column types."""
+        meta, pts = data
+        pts = pts.astype({"tid": tid, "value": value})
+        empty = np.random.default_rng(seed % 2**32).permutation(n_parts)[1:]
+        points = spark.createDataFrame(pts).repartition(n_parts).where(
+            ~F.spark_partition_id().isin(empty[:len(empty) // 2].tolist()))
+        kept = points.toPandas()
+        local = sorted(ingest_local(kept, meta, eps), key=_segment_key)
+        via_spark = [Segment(*r) for r in
+                     ingest(spark, points, meta, eps).collect()]
+        assert sorted(via_spark, key=_segment_key) == local
+        assert local == _reference_segments(kept, meta, eps)
 
 
 class TestStoreAndDataSource:
@@ -358,6 +443,21 @@ class TestViews:
         bad = view.filter(
             F.expr("(shiftright(gaps, bitpos) & 1) != 0")).count()
         assert bad == 0
+
+    def test_views_check_the_model_table(self, spark, store, tmp_path):
+        """A stored Mid that maps to another type name, or that the
+        registry lacks, fails both views before any segment decodes."""
+        path = str(tmp_path / "store")
+        shutil.copytree(store, path)
+        with open(os.path.join(path, "model.json")) as f:
+            table = json.load(f)
+        swapped = {**table, "1": table["2"], "2": table["1"]}
+        for bad, mid in ((swapped, 1), ({**table, "99": "Lost"}, 99)):
+            with open(os.path.join(path, "model.json"), "w") as f:
+                json.dump(bad, f)
+            for view in (segment_view, data_point_view):
+                with pytest.raises(ValueError, match=f"Mid {mid} "):
+                    view(spark, path)
 
     def test_data_point_view_reconstructs_exactly_at_eps0(self, spark, store, ds):
         got = (data_point_view(spark, store).toPandas()
