@@ -79,7 +79,9 @@ def split_points(points: pa.Table, lookup: tuple
                  ) -> Dict[int, Tuple[np.ndarray, ...]]:
     """The (bit, ts, value) run of each Gid of ``points``, in ascending
     Gid order, cast to :data:`BLOCK_TYPES`.  A null tid, or one not in
-    the lookup of :func:`read_meta`, raises ``ValueError`` naming it."""
+    the lookup of :func:`read_meta`, raises ``ValueError`` naming it; so
+    does a NaN or null value, which ``pivot_group`` could not tell from a
+    gap, naming its tid and timestamp."""
     tids, gids, bits = lookup
     # A null tid becomes NaN here, which equals no tid of ``tids``.
     tid = points.column("tid").to_numpy()
@@ -87,12 +89,17 @@ def split_points(points: pa.Table, lookup: tuple
     known = tids[pos] == tid if len(tids) else np.zeros(len(tid), bool)
     if not known.all():
         raise _unknown_tids(tid[~known])
+    ts, value = (points.column(name).to_numpy().astype(dtype, copy=False)
+                 for name, dtype in BLOCK_TYPES[1:])
+    nan = np.isnan(value)
+    if nan.any():
+        i = int(np.argmax(nan))
+        raise ValueError(f"the point of tid {int(tid[i])} at ts {ts[i]} has "
+                         "a NaN or null value")
     gid = gids[pos]
     order = np.argsort(gid, kind="stable")
     keys, starts = np.unique(gid[order], return_index=True)
-    cols = [bits[pos][order]] + [
-        points.column(name).to_numpy().astype(dtype, copy=False)[order]
-        for name, dtype in BLOCK_TYPES[1:]]
+    cols = [bits[pos][order], ts[order], value[order]]
     return {g: tuple(c[a:b] for c in cols) for g, a, b in zip(
         keys.tolist(), starts, np.r_[starts[1:], len(gid)])}
 
@@ -156,7 +163,8 @@ def ingest(spark: SparkSession, points: DataFrame, meta: pd.DataFrame,
     ``min(#groups, defaultParallelism)`` tasks, where ``compress`` turns
     each group's points into rows of the Segment table.  Points of a
     null tid or of a tid not in ``meta`` fail the job with a
-    ``ValueError`` naming those tids.
+    ``ValueError`` naming those tids, and a NaN or null value one
+    naming its tid and timestamp.
 
     Sets ``spark.sql.execution.arrow.maxBytesPerBatch`` to ``Int.MaxValue``
     on ``spark``: at any other value Spark 4.1 measures the Arrow buffers

@@ -1,32 +1,29 @@
-"""Segment record and binary (de)serialisation (paper §II, §III-C).
+"""Segment record (paper §II, §III-C).
 
 A segment represents a bounded interval of a time series *group* with a
 single model.  Following the paper's storage schema (Fig. 6, adapted for
-Cassandra): the on-disk record stores ``Gid``, ``EndTime``, ``SI``,
-``Size`` (number of timestamps; ``StartTime`` is derived as
-``EndTime - (Size - 1) * SI`` to save space), the model type ``Mid``,
-the ``Gaps`` bitmask (bit *i* set ⇔ the group's *i*-th series — in
-sorted-Tid order — has a gap and is absent from this segment), and the
-model's parameter blob.
+Cassandra): the stored row (``storage/schema.py``) holds ``Gid``,
+``EndTime``, ``SI``, ``Size`` (number of timestamps; ``StartTime`` is
+derived as ``EndTime - (Size - 1) * SI`` to save space), the model type
+``Mid``, the ``Gaps`` bitmask (bit *i* set ⇔ the group's *i*-th series —
+in sorted-Tid order — has a gap and is absent from this segment), and
+the model's parameter blob.
 
 :func:`gap_mask` writes the gap mask and :func:`gap_rank` reads arrays
 of masks, unsigned or as Spark's signed ``long``.  Only the Segment
 View's Spark filter and the reference ``golemm.reconstruct_segment``
 read the bits themselves.
-
-Binary layout per record (little-endian):
-``gid:i4  end_time:i8  si:i4  size:i4  mid:u1  gaps:u8  plen:u4  params``
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List
+from typing import Iterable
 
 import numpy as np
 
-_HDR = struct.Struct("<iqiiBQI")
-HEADER_BYTES = _HDR.size  # 33 bytes of metadata per segment
+#: Bytes of metadata per stored segment, by which GOLEMM costs segments:
+#: gid 4, end_time 8, si 4, size 4, mid 1, gaps 8 and a params offset 4.
+HEADER_BYTES = 33
 #: Most series in one group: one bit each in the 64-bit gap mask (§III-C).
 MAX_GROUP_SIZE = 64
 _GAP_BITS = (1 << MAX_GROUP_SIZE) - 1
@@ -81,34 +78,3 @@ class Segment:
         """The regular timestamps this segment represents."""
         return self.start_time + self.si * np.arange(self.size, dtype=np.int64)
 
-
-def pack(segments: List[Segment]) -> bytes:
-    """Serialise segments; ``start_time`` is not stored, so a segment
-    whose ``start_time`` is not ``end_time - (size - 1) * si`` is
-    rejected with ``ValueError``."""
-    out = bytearray()
-    for s in segments:
-        if s.start_time != s.end_time - (s.size - 1) * s.si:
-            raise ValueError(f"inconsistent segment times: {s}")
-        out += _HDR.pack(s.gid, s.end_time, s.si, s.size, s.mid, s.gaps,
-                         len(s.params))
-        out += s.params
-    return bytes(out)
-
-
-def unpack(data: bytes) -> Iterator[Segment]:
-    """Deserialise :func:`pack`'s records; a buffer that ends inside a
-    record raises ``ValueError`` naming the record's offset."""
-    pos = 0
-    n = len(data)
-    while pos < n:
-        if n - pos < _HDR.size:
-            raise ValueError(f"truncated segment header at offset {pos}")
-        gid, end_time, si, size, mid, gaps, plen = _HDR.unpack_from(data, pos)
-        if n - pos - _HDR.size < plen:
-            raise ValueError(f"truncated segment parameters at offset {pos}")
-        pos += _HDR.size
-        params = data[pos:pos + plen]
-        pos += plen
-        yield Segment(gid, end_time - (size - 1) * si, end_time, si, size,
-                      mid, gaps, params)

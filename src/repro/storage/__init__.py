@@ -1,1 +1,3 @@
-"""Segment storage: the .mdb file format, footers, and the modelardb DataSourceV2 (paper §III-C)."""
+"""Segment storage (paper §III-C): the Segment row format, the `.mdb`
+files of zlib-compressed Arrow streams with their JSON footers, and the
+``modelardb`` DataSourceV2."""

@@ -16,9 +16,9 @@ them, in name order, into input partitions of at least
 Gids (Table I: "Parallelize queries over Gids in Spark instead of
 Cassandra") once a scan has enough segments to pay for a Python task per
 partition; a smaller scan is one partition.  Pushed Gid/time predicates
-are applied per record after file pruning, by the same per-file read as
-``segment_store.read_segments``.  ``gids=""`` is the empty Gid list and
-selects no segment.
+then filter each file's rows in ``segment_store.read_file``, the read of
+``read_segments`` too.  ``gids=""`` is the empty Gid list and selects no
+segment.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence
 from pyspark.sql.datasource import DataSource, DataSourceReader, InputPartition
 
 from ..worker import trim_importer_cache
-from .schema import SEGMENT_SCHEMA, segment_columns
+from .schema import SEGMENT_SCHEMA
 
 # A partition costs two Python task starts, the scan read and the
 # ``mapInPandas`` step over its rows: 0.04–0.11 CPU s on a 4-core Xeon
@@ -76,24 +76,17 @@ class ModelarSegmentReader(DataSourceReader):
         return parts
 
     def read(self, partition: InputPartition):
-        """Yield one Arrow RecordBatch per ``.mdb`` file of the partition
-        (its ``value``, a list of paths).
-
-        Arrow batches avoid per-row Python→JVM conversion — the scan
-        cost is then linear in the number of *segments* with a small
-        constant, which is what makes model-based aggregates pay off
-        (paper §VI-A).
-        """
+        """Yield the Arrow batches of the rows that each ``.mdb`` file of
+        the partition (its ``value``, a list of paths) keeps: no per-row
+        Python→JVM conversion, so the scan cost is linear in the number of
+        *segments* with a small constant, which is what makes model-based
+        aggregates pay off (paper §VI-A)."""
         trim_importer_cache()
-        import pyarrow as pa
-
         from .segment_store import read_file
 
         for path in partition.value:
-            segs = list(read_file(path, self.gids, self.min_end_time,
-                                  self.max_start_time))
-            if segs:
-                yield pa.RecordBatch.from_pydict(segment_columns(segs))
+            yield from read_file(path, self.gids, self.min_end_time,
+                                 self.max_start_time).to_batches()
 
 
 class ModelarDataSource(DataSource):

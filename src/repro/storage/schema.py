@@ -1,4 +1,4 @@
-"""Spark schemas for the ModelarDB+ storage layout (paper §III-C, Fig. 6).
+"""Schemas for the ModelarDB+ storage layout (paper §III-C, Fig. 6).
 
 Three logical tables:
 
@@ -7,19 +7,21 @@ Three logical tables:
   user-defined dimensions.  Stored as Parquet next to the segment files.
 * **Model** — Mid → model-type name (the paper maps Mids to Java
   classpaths; here to the Python registry in ``repro.core``).
-* **Segment** — the compressed segments; stored in the custom ``.mdb``
-  format (``segment_store.py``: ``core.segment.pack`` records, zlib level
-  1 per file like the Cassandra stand-in; GOLEMM still costs segments by
-  ``HEADER_BYTES``) and scanned through the ``modelardb`` DataSourceV2.
-  ``StartTime`` is derived from ``EndTime``, ``Size`` and ``SI`` on read,
-  exactly as the paper's Cassandra schema does.
+* **Segment** — the compressed segments, one :data:`SEGMENT_SCHEMA` row
+  each, scanned through the ``modelardb`` DataSourceV2.  A ``.mdb`` file
+  holds one Arrow IPC stream of :data:`FILE_SCHEMA` rows, which leave out
+  ``StartTime``: it is derived from ``EndTime``, ``Size`` and ``SI`` on
+  read, exactly as the paper's Cassandra schema does.
 
-The Spark ingest and the ``modelardb`` DataSource both emit Segment
-rows built by :func:`segment_columns`.
+This module is the one place that knows the Segment row format:
+:func:`segment_columns` builds its columns for the Spark ingest and the
+file writer, and :func:`from_stream` reads a file's rows back.
 """
 from typing import Dict, Sequence
 
 import numpy as np
+import pyarrow as pa
+from pyspark.sql.pandas.types import to_arrow_schema
 from pyspark.sql.types import (BinaryType, IntegerType, LongType,
                                StructField, StructType)
 
@@ -35,6 +37,11 @@ SEGMENT_SCHEMA = StructType([
     StructField("gaps", LongType()),
     StructField("params", BinaryType()),
 ])
+_SEGMENT_ARROW = to_arrow_schema(SEGMENT_SCHEMA)
+
+#: The stored columns: no ``start_time``, and a 1-byte Mid, so a segment
+#: costs ``core.segment.HEADER_BYTES`` + its parameters before compression.
+FILE_SCHEMA = _SEGMENT_ARROW.remove(1).set(4, pa.field("mid", pa.uint8()))
 
 
 def segment_columns(segments: Sequence[Segment]) -> Dict[str, np.ndarray]:
@@ -46,13 +53,33 @@ def segment_columns(segments: Sequence[Segment]) -> Dict[str, np.ndarray]:
     def col(name: str, dtype) -> np.ndarray:
         return np.array([getattr(s, name) for s in segments], dtype)
 
-    return {
-        "gid": col("gid", np.int32),
-        "start_time": col("start_time", np.int64),
-        "end_time": col("end_time", np.int64),
-        "si": col("si", np.int32),
-        "size": col("size", np.int32),
-        "mid": col("mid", np.int32),
-        "gaps": col("gaps", np.uint64).view(np.int64),
-        "params": col("params", object),
-    }
+    return {f.name: col(f.name, np.uint64).view(np.int64) if f.name == "gaps"
+            else col(f.name, f.type.to_pandas_dtype()) for f in _SEGMENT_ARROW}
+
+
+def to_stream(columns: Dict[str, np.ndarray]) -> bytes:
+    """The Arrow IPC stream of :func:`segment_columns`' ``columns``: one
+    record batch of :data:`FILE_SCHEMA`, or the schema alone if empty."""
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, FILE_SCHEMA) as writer:
+        if len(columns["gid"]):
+            writer.write_batch(pa.record_batch(
+                [pa.array(columns[f.name], f.type) for f in FILE_SCHEMA],
+                schema=FILE_SCHEMA))
+    return sink.getvalue().to_pybytes()
+
+
+def from_stream(data: bytes) -> pa.Table:
+    """The :data:`SEGMENT_SCHEMA` table of :func:`to_stream`'s bytes.  A
+    stream cut anywhere, or of another schema, raises ``ValueError``."""
+    try:
+        stored = pa.ipc.open_stream(data).read_all()
+    except OSError as e:  # Arrow's error for a record batch cut short
+        raise ValueError(f"truncated segment stream: {e}") from None
+    # Arrow reads a stream cut between messages as a shorter stream.
+    if stored.schema != FILE_SCHEMA or data[-8:] != b"\xff" * 4 + bytes(4):
+        raise ValueError("not a whole segment stream of the file schema")
+    end, size, si = (stored.column(n).to_numpy().astype(np.int64)
+                     for n in ("end_time", "size", "si"))
+    return stored.add_column(1, "start_time", pa.array(
+        end - (size - 1) * si)).cast(_SEGMENT_ARROW)

@@ -9,9 +9,9 @@ directory::
       model.json            # Model table: mid → model-type name, checked
                             #   against the registry (check_models)
       segments/
-        part-00000.mdb      # zlib level 1 over the packed Segment records
-                            #   (core/segment.py), in (gid, end_time, gaps)
-                            #   order
+        part-00000.mdb      # zlib level 1 over the Arrow IPC stream of
+                            #   its schema.FILE_SCHEMA rows, in (gid,
+                            #   end_time, gaps) order
         part-00000.json     # footer: count, Gids, min start_time,
                             #   max end_time
 
@@ -20,7 +20,7 @@ from ``dims/partitioner.py`` — one file per (virtual) worker, mirroring
 the paper's one-node-per-group placement.  The JSON footers provide the
 pruning statistics Cassandra's primary-key index gives ModelarDB+:
 reads with Gid or time predicates skip whole files, and
-:func:`read_file` filters the segments of the files that remain.  Files
+:func:`read_file` filters the rows of the files that remain.  Files
 are the unit of pruning, not of scan parallelism: the ``modelardb``
 reader packs the files that remain into partitions by their footers'
 segment counts (``datasource.py``).
@@ -28,25 +28,25 @@ segment counts (``datasource.py``).
 Each ``.mdb`` file is compressed whole with zlib at level 1, as the
 Cassandra stand-in compresses its chunks (``baselines/cassandra_sim.py``):
 Cassandra compresses its SSTables with LZ4, and zlib level 1 is in LZ4's
-ratio class.  :func:`~repro.core.segment.pack` stays the record codec, so
-segments are byte-identical whatever the file codec, and GOLEMM still
-costs a segment by its logical ``HEADER_BYTES`` plus parameters.  The
-zlib stream's Adler-32 check makes a corrupted or truncated file raise
-on read.
+ratio class.  The zlib stream's Adler-32 check makes a corrupted or
+truncated file raise on read, and ``schema.from_stream`` an Arrow stream
+cut short.
 """
 from __future__ import annotations
 
 import json
 import os
 import zlib
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 from ..core.model_types import by_mid, registered_mids
-from ..core.segment import Segment, pack, unpack
+from ..core.segment import Segment
 from ..dims.partitioner import partition_groups
+from .schema import from_stream, segment_columns, to_stream
 
 #: zlib level of the ``.mdb`` files: the Cassandra stand-in's level.
 ZLIB_LEVEL = 1
@@ -59,26 +59,36 @@ def _model_table() -> Dict[str, str]:
 
 def write_store(segments: Sequence[Segment], meta: pd.DataFrame, path: str,
                 n_workers: int = 4) -> None:
-    """Persist segments + time series metadata as a store directory."""
+    """Persist segments + time series metadata as a store directory.  A
+    segment of a Gid not in ``meta`` (no view shows it), or whose
+    ``start_time`` is not ``end_time - (size - 1) * si``, raises ValueError."""
+    cols = segment_columns(segments)
+    gid, start, end = cols["gid"], cols["start_time"], cols["end_time"]
+    worker = pd.Series(partition_groups(meta, n_workers),
+                       dtype=float).reindex(gid).to_numpy()
+    for bad, what in ((np.isnan(worker), "of a Gid not in meta"), (
+            start != end - (cols["size"] - 1).astype(np.int64) * cols["si"],
+            "of inconsistent times")):
+        if bad.any():
+            raise ValueError(f"segment {what}: {segments[np.argmax(bad)]}")
+    order = np.lexsort((cols["gaps"].view(np.uint64), end, gid, worker))
+    bounds = np.searchsorted(worker[order], np.arange(n_workers + 1))
+
     os.makedirs(os.path.join(path, "segments"), exist_ok=True)
     meta.to_parquet(os.path.join(path, "tsmeta.parquet"), index=False)
     with open(os.path.join(path, "model.json"), "w") as f:
         json.dump(_model_table(), f)
-    assignment = partition_groups(meta, n_workers)
-    by_worker: Dict[int, List[Segment]] = {}
-    for s in segments:
-        by_worker.setdefault(assignment.get(s.gid, 0), []).append(s)
-    for worker in range(n_workers):
-        segs = sorted(by_worker.get(worker, []),
-                      key=lambda s: (s.gid, s.end_time, s.gaps))
-        base = os.path.join(path, "segments", f"part-{worker:05d}")
+    for w in range(n_workers):
+        rows = order[bounds[w]:bounds[w + 1]]
+        base = os.path.join(path, "segments", f"part-{w:05d}")
         with open(base + ".mdb", "wb") as f:
-            f.write(zlib.compress(pack(segs), ZLIB_LEVEL))
+            f.write(zlib.compress(to_stream(
+                {name: c[rows] for name, c in cols.items()}), ZLIB_LEVEL))
         footer = {
-            "count": len(segs),
-            "start_time_min": min((s.start_time for s in segs), default=0),
-            "end_time_max": max((s.end_time for s in segs), default=0),
-            "gids": sorted({s.gid for s in segs}),
+            "count": len(rows),
+            "start_time_min": int(start[rows].min()) if len(rows) else 0,
+            "end_time_max": int(end[rows].max()) if len(rows) else 0,
+            "gids": np.unique(gid[rows]).tolist(),
         }
         with open(base + ".json", "w") as f:
             json.dump(footer, f)
@@ -145,10 +155,10 @@ def list_files(path: str, gids: Optional[Sequence[int]] = None,
 
 def read_file(fname: str, gids: Optional[Sequence[int]] = None,
               min_end_time: Optional[int] = None,
-              max_start_time: Optional[int] = None) -> Iterator[Segment]:
-    """The segments of one ``.mdb`` file that match the predicates; a
-    corrupted or truncated file raises ``zlib.error`` or ``ValueError``."""
-    gid_set = set(gids) if gids is not None else None
+              max_start_time: Optional[int] = None) -> pa.Table:
+    """The Segment table rows of one ``.mdb`` file that match the
+    predicates; a corrupted or truncated file raises ``zlib.error`` or
+    ``ValueError``."""
     with open(fname, "rb") as f:
         raw = f.read()
     inflate = zlib.decompressobj()
@@ -156,14 +166,15 @@ def read_file(fname: str, gids: Optional[Sequence[int]] = None,
     if not inflate.eof or inflate.unused_data:
         raise ValueError(f"{fname}: truncated, or bytes after its zlib "
                          "stream")
-    for seg in unpack(data):
-        if gid_set is not None and seg.gid not in gid_set:
-            continue
-        if min_end_time is not None and seg.end_time < min_end_time:
-            continue
-        if max_start_time is not None and seg.start_time > max_start_time:
-            continue
-        yield seg
+    table = from_stream(data)
+    keep = np.ones(table.num_rows, bool)
+    if gids is not None:
+        keep &= np.isin(table.column("gid").to_numpy(), list(gids))
+    if min_end_time is not None:
+        keep &= table.column("end_time").to_numpy() >= min_end_time
+    if max_start_time is not None:
+        keep &= table.column("start_time").to_numpy() <= max_start_time
+    return table if keep.all() else table.filter(keep)
 
 
 def read_segments(path: str, gids: Optional[Sequence[int]] = None,
@@ -171,7 +182,9 @@ def read_segments(path: str, gids: Optional[Sequence[int]] = None,
                   max_start_time: Optional[int] = None) -> Iterable[Segment]:
     """Scan the store with residual per-segment filtering."""
     for fname in list_files(path, gids, min_end_time, max_start_time):
-        yield from read_file(fname, gids, min_end_time, max_start_time)
+        table = read_file(fname, gids, min_end_time, max_start_time)
+        yield from (Segment(*row) for row in zip(*(
+            c.to_numpy(zero_copy_only=False).tolist() for c in table.columns)))
 
 
 def read_tsmeta(path: str) -> pd.DataFrame:

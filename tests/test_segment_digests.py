@@ -1,19 +1,21 @@
 """Golden digests of stored segments: the byte-identity gate for ingest.
 
 Each cell pins the SHA-256 of ``pack(ingest_local(...))`` (``ingest_mdb``
-for MDB) and the split, merge and merge-attempt counts.  A change meant
-to leave segments alone must keep every cell; a change meant to alter
-them updates the table and says why.  The data sets are the ones of the
-digest tables in CHANGES.md.
+for MDB) and the split, merge and merge-attempt counts.  ``pack`` is this
+gate's own serialisation of every stored field, not the store's file
+format, so the pinned values do not depend on how files are written.  A
+change meant to leave segments alone must keep every cell; a change meant
+to alter them updates the table and says why.  The data sets are the
+ones of the digest tables in CHANGES.md.
 """
 import hashlib
+import struct
 
 import pytest
 
 from repro.baselines.mdb import ingest_mdb
 from repro.core.golemm import CompressStats
 from repro.core.ingest import ingest_local
-from repro.core.segment import pack
 from repro.datasets import ef_like, ep_like, hd_like
 from repro.dims.grouping import group_time_series, singleton_groups
 from repro.experiments import ga_clauses, gb_clauses
@@ -45,6 +47,16 @@ GOLDEN = {
         "9c9945264224caf1a64764bc5b81936868bf89ee1003fe6ff3a9838f997cf2d2",
         0, 0, 0),
 }
+
+_HDR = struct.Struct("<iqiiBQI")
+
+
+def pack(segs) -> bytes:
+    """Each segment's gid, end_time, si, size, mid, gaps, parameter
+    length and parameters, little-endian."""
+    return b"".join(_HDR.pack(s.gid, s.end_time, s.si, s.size, s.mid, s.gaps,
+                              len(s.params)) + s.params for s in segs)
+
 
 _datasets = {}
 

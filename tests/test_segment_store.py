@@ -1,4 +1,4 @@
-"""Non-Spark tests: segment binary format, store layout, footer pruning."""
+"""Non-Spark tests: segment file format, store layout, footer pruning."""
 import json
 import os
 import struct
@@ -6,16 +6,18 @@ import zlib
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
-from repro.core.segment import HEADER_BYTES, Segment, pack, unpack
-from repro.experiments import (actual_avg_error_pct, reconstruct_points,
-                               segments_bytes)
+from repro.core.segment import HEADER_BYTES, Segment
+from repro.experiments import actual_avg_error_pct, reconstruct_points
 from repro.core.ingest import ingest_local, pivot_group
 from repro.core.model_types import MID_PMC_MEAN
 from repro.datasets import ep_like
 from repro.dims.grouping import singleton_groups
 from repro.storage import segment_store
+from repro.storage.schema import (FILE_SCHEMA, from_stream, segment_columns,
+                                  to_stream)
 
 
 def seg(gid=1, start=0, si=100, size=5, mid=MID_PMC_MEAN, gaps=0,
@@ -25,24 +27,58 @@ def seg(gid=1, start=0, si=100, size=5, mid=MID_PMC_MEAN, gaps=0,
                    gaps, params)
 
 
-class TestSegmentBinary:
-    def test_pack_unpack_roundtrip(self):
-        segs = [seg(gid=g, start=g * 1000) for g in range(1, 6)]
-        out = list(unpack(pack(segs)))
-        assert out == segs
+def meta_of(segs) -> pd.DataFrame:
+    """Time Series table of one series per Gid of ``segs`` (Gid 1 if none)."""
+    gids = sorted({s.gid for s in segs}) or [1]
+    return pd.DataFrame({"tid": gids, "gid": gids, "bitpos": 0,
+                         "scaling": 1.0, "si": 100})
 
-    def test_start_time_derived_from_end(self):
+
+class TestSegmentBinary:
+    """Packing segments into ``.mdb`` files with ``write_store`` and
+    unpacking them with ``read_file`` and ``read_segments``."""
+
+    @staticmethod
+    def roundtrip(segs, tmp_path):
+        path = str(tmp_path / "store")
+        segment_store.write_store(segs, meta_of(segs), path, n_workers=2)
+        return list(segment_store.read_segments(path))
+
+    @staticmethod
+    def rewrite_stream(tmp_path, edit):
+        """A one-file store whose Arrow stream is ``edit``ed, then
+        compressed again into a valid zlib stream."""
+        segs = [seg(gid=1), seg(gid=2)]
+        path = str(tmp_path / "store")
+        segment_store.write_store(segs, meta_of(segs), path, n_workers=1)
+        (fname,) = segment_store.list_files(path)
+        with open(fname, "rb") as f:
+            data = zlib.decompress(f.read())
+        with open(fname, "wb") as f:
+            f.write(zlib.compress(edit(data)))
+        return path
+
+    def test_pack_unpack_roundtrip(self, tmp_path):
+        segs = [seg(gid=g, start=g * 1000) for g in range(1, 6)]
+        assert sorted(self.roundtrip(segs, tmp_path),
+                      key=lambda s: s.gid) == segs
+
+    def test_start_time_derived_from_end(self, tmp_path):
         s = seg(start=500, si=100, size=4)
-        (out,) = unpack(pack([s]))
+        (out,) = self.roundtrip([s], tmp_path)
         assert out.start_time == 500 and out.end_time == 800
 
     def test_header_overhead_constant(self):
         s = seg()
         assert s.byte_size == HEADER_BYTES + 4
+        # The fixed-width columns, and the params column's 4-byte offset.
+        assert HEADER_BYTES == 4 + sum(
+            f.type.bit_width // 8 for f in FILE_SCHEMA
+            if not pa.types.is_binary(f.type))
 
-    def test_large_gaps_bitmask(self):
+    def test_large_gaps_bitmask(self, tmp_path):
         s = seg(gaps=(1 << 63) | 0b101)
-        (out,) = unpack(pack([s]))
+        (out,) = self.roundtrip([s], tmp_path)
         assert out.gaps == (1 << 63) | 0b101
 
     def test_timestamps_regular(self):
@@ -50,23 +86,58 @@ class TestSegmentBinary:
         np.testing.assert_array_equal(s.timestamps(),
                                       [1000, 1250, 1500, 1750])
 
-    def test_empty_pack(self):
-        assert list(unpack(pack([]))) == []
+    def test_empty_pack(self, tmp_path):
+        """An empty file is the schema alone, and reads as no rows."""
+        assert self.roundtrip([], tmp_path) == []
+        fname = tmp_path / "store" / "segments" / "part-00000.mdb"
+        table = segment_store.read_file(str(fname))
+        assert table.num_rows == 0
+        assert table.schema.names == [
+            "gid", "start_time", "end_time", "si", "size", "mid", "gaps",
+            "params"]
 
     @pytest.mark.parametrize("cut", [1, 4, HEADER_BYTES + 3])
-    def test_unpack_rejects_truncated_record(self, cut):
-        # The last record ends early: in its parameters, or in its header.
-        data = pack([seg(gid=1), seg(gid=2)])
-        with pytest.raises(ValueError,
-                           match=f"offset {HEADER_BYTES + 4}$"):
-            list(unpack(data[:-cut]))
+    def test_unpack_rejects_truncated_record(self, tmp_path, cut):
+        """A valid zlib stream over an Arrow stream that ends early: in
+        its 8-byte end marker, or inside its record batch."""
+        path = self.rewrite_stream(tmp_path, lambda data: data[:-cut])
+        with pytest.raises(ValueError):
+            list(segment_store.read_segments(path))
 
-    def test_pack_rejects_inconsistent_start_time(self):
+    def test_unpack_rejects_every_cut_of_the_stream(self):
+        """Arrow raises ``OSError`` for some cuts, and reads a cut between
+        two messages as a shorter stream without error."""
+        data = to_stream(segment_columns([seg(gid=1), seg(gid=2)]))
+        for bad in (*(data[:cut] for cut in range(len(data))),
+                    data + b"\0"):
+            with pytest.raises(ValueError):
+                from_stream(bad)
+        assert from_stream(data).num_rows == 2
+
+    def test_unpack_rejects_another_schema(self, tmp_path):
+        sink = pa.BufferOutputStream()
+        with pa.ipc.new_stream(sink, pa.schema([("gid", pa.int64())])) as w:
+            w.write_batch(pa.record_batch([pa.array([1, 2])], ["gid"]))
+        path = self.rewrite_stream(
+            tmp_path, lambda _: sink.getvalue().to_pybytes())
+        with pytest.raises(ValueError, match="schema"):
+            list(segment_store.read_segments(path))
+
+    def test_pack_rejects_inconsistent_start_time(self, tmp_path):
         # start_time is derived from end_time on read, so it must agree;
         # an assert would vanish under python -O.
         bad = Segment(1, 1, 1000, 100, 5, MID_PMC_MEAN, 0, b"\0\0\0\0")
         with pytest.raises(ValueError, match="inconsistent"):
-            pack([seg(), bad])
+            self.roundtrip([seg(), bad], tmp_path)
+
+    def test_pack_rejects_gid_not_in_meta(self, tmp_path):
+        """File 0 stored it, and every view dropped it: the views join
+        the Time Series table."""
+        path = str(tmp_path / "store")
+        with pytest.raises(ValueError,
+                           match=r"Gid not in meta: Segment\(gid=7,"):
+            segment_store.write_store([seg(gid=1), seg(gid=7)],
+                                      meta_of([seg(gid=1)]), path)
 
 
 class TestStoreLayout:
@@ -86,8 +157,9 @@ class TestStoreLayout:
         assert len(files) == 3
 
     def test_files_are_zlib_packed_segments(self, store):
-        # Each file inflates to exactly pack() of its segments in key
-        # order; store_bytes counts the compressed files.
+        # Each file inflates to the Arrow stream of its segments' stored
+        # columns in key order, and zlib shrinks it; store_bytes counts
+        # the compressed files.
         path, segs, _ = store
         seg_dir = os.path.join(path, "segments")
         total, n_stored = 0, 0
@@ -100,12 +172,17 @@ class TestStoreLayout:
                           key=lambda s: (s.gid, s.end_time, s.gaps))
             with open(os.path.join(seg_dir, name), "rb") as f:
                 raw = f.read()
-            assert zlib.decompress(raw) == pack(mine)
+            stream = zlib.decompress(raw)
+            stored = pa.ipc.open_stream(stream).read_all()
+            want = segment_columns(mine)
+            assert stored.schema == FILE_SCHEMA
+            assert stored.to_pydict() == {n: want[n].tolist()
+                                          for n in FILE_SCHEMA.names}
+            assert len(raw) < len(stream)
             total += len(raw)
             n_stored += len(mine)
         assert n_stored == len(segs)
         assert segment_store.store_bytes(path) == total
-        assert total < segments_bytes(segs)
 
     def test_corrupted_file_raises(self, store):
         # A cut, an appended byte, and each one-byte flip of a whole file.
@@ -203,6 +280,18 @@ class TestPivot:
         with pytest.raises(ValueError, match=r"tids \[1, 2, 3, 4, 5\]"):
             ingest_local(ds.points, meta.iloc[:0], 0.0)
         assert ingest_local(ds.points.iloc[:0], meta.iloc[:0], 0.0) == []
+
+    @pytest.mark.parametrize("eps", [0.0, 10.0])
+    def test_ingest_rejects_a_nan_value(self, eps):
+        """It was stored as a gap: 19 of the 20 points, without an error."""
+        pts = pd.DataFrame({"tid": np.repeat([1, 2], 10),
+                            "ts": np.tile(np.arange(10) * 100, 2),
+                            "value": np.arange(20.0)})
+        pts.loc[13, "value"] = np.nan
+        meta = pd.DataFrame({"tid": [1, 2], "gid": 1, "bitpos": [0, 1],
+                             "scaling": 1.0, "si": 100})
+        with pytest.raises(ValueError, match="tid 2 at ts 300 has a NaN"):
+            ingest_local(pts, meta, eps)
 
     @pytest.mark.parametrize("kind", ["bitpos", "tid"])
     def test_ingest_rejects_bad_meta(self, kind):

@@ -10,6 +10,7 @@ import json
 import os
 import shutil
 import sys
+import tempfile
 import zipimport
 
 import numpy as np
@@ -246,6 +247,17 @@ class TestSparkIngest:
             ingest(spark, points, meta[meta["tid"] != unknown],
                    0.0).collect()
 
+    def test_spark_ingest_rejects_a_nan_value(self, spark):
+        """``pack`` names its tid and timestamp, as ``ingest_local`` does."""
+        ds = ep_like(n_entities=1, n_points=50, seed=3)
+        pts = ds.points.reset_index(drop=True)
+        tid, ts = (int(pts.loc[7, c]) for c in ("tid", "ts"))
+        pts.loc[7, "value"] = np.nan
+        with pytest.raises(PythonException,
+                           match=f"tid {tid} at ts {ts} has a NaN"):
+            ingest(spark, spark.createDataFrame(pts),
+                   singleton_groups(ds.meta), 0.0).collect()
+
     @pytest.mark.parametrize("kind", ["bitpos", "tid"])
     def test_spark_ingest_rejects_bad_meta(self, spark, kind):
         """bitpos [0, 5] stored without error; a tid listed twice sent
@@ -339,6 +351,87 @@ class TestRandomIngest:
         assert local == _reference_segments(kept, meta, eps)
 
 
+#: 2021-02-01 00:00 UTC in ms: drawn segment ends lie within 3 days of it.
+_MONTH_END = 1_612_137_600_000
+_DAY = 86_400_000
+
+
+@st.composite
+def _stored_groups(draw):
+    """``meta`` and segments of 1–4 groups of 1, 5 or 64 series: gap
+    masks up to bit 63, sizes from 1, SIs up to two hours, ends across a
+    month end and 1–64 B of parameters; unique in (gid, end_time, gaps)."""
+    gids = draw(st.lists(st.integers(1, 2**31 - 1), min_size=1, max_size=4,
+                         unique=True))
+    metas, segs = [], []
+    for gid in gids:
+        n, si = (draw(st.sampled_from(c)) for c in (
+            [1, 5, 64], [1, 100, 60_000, 3_600_001, 7_200_000]))
+        metas.append(pd.DataFrame({"tid": len(metas) * 64 + np.arange(n),
+                                   "gid": gid, "bitpos": np.arange(n),
+                                   "scaling": 1.0, "si": si}))
+        for _ in range(draw(st.integers(0, 6))):
+            size = draw(st.just(1) | st.integers(1, 50))
+            end = _MONTH_END + draw(st.integers(-3 * _DAY, 3 * _DAY))
+            segs.append(Segment(
+                gid, end - (size - 1) * si, end, si, size,
+                draw(st.integers(0, 255)),
+                draw(st.just((1 << n) - 1) | st.integers(0, (1 << n) - 1)),
+                draw(st.binary(min_size=1, max_size=64))))
+    unique = {_segment_key(s): s for s in segs}
+    return pd.concat(metas, ignore_index=True), list(unique.values())
+
+
+def _predicate(data, segs):
+    """Random Gids (``[]`` and absent Gids included) and time bounds,
+    often at a segment's own end or start time."""
+    gids = st.sampled_from(sorted({s.gid for s in segs}) + [0])
+    times = st.integers(_MONTH_END - 4 * _DAY, _MONTH_END + 4 * _DAY)
+    if segs:
+        ends = st.sampled_from([s.end_time for s in segs])
+        starts = st.sampled_from([s.start_time for s in segs])
+        times = times | ends | starts
+    return (data.draw(st.none() | st.lists(gids, max_size=3)),
+            data.draw(st.none() | times), data.draw(st.none() | times))
+
+
+class TestRandomStore:
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), groups=_stored_groups(),
+           n_workers=st.integers(1, 5))
+    def test_store_returns_what_it_was_given(self, spark, data, groups,
+                                             n_workers):
+        """``read_segments`` and the ``modelardb`` scan return the
+        stored segments that a brute-force filter keeps, and the same
+        segments, in any order, give the same ``.mdb`` bytes."""
+        meta, segs = groups
+        with tempfile.TemporaryDirectory() as tmp:
+            path, again = os.path.join(tmp, "a"), os.path.join(tmp, "b")
+            write_store(segs, meta, path, n_workers)
+            write_store(segs[::-1], meta, again, n_workers)
+            for name in os.listdir(os.path.join(path, "segments")):
+                with open(os.path.join(path, "segments", name), "rb") as f, \
+                        open(os.path.join(again, "segments", name),
+                             "rb") as g:
+                    assert f.read() == g.read(), name
+            got = segment_store.read_segments(path)
+            assert sorted(got, key=_segment_key) == sorted(
+                segs, key=_segment_key)
+            for i in range(3):
+                gids, lo, hi = _predicate(data, segs)
+                want = sorted((s for s in segs
+                               if (gids is None or s.gid in gids)
+                               and (lo is None or s.end_time >= lo)
+                               and (hi is None or s.start_time <= hi)),
+                              key=_segment_key)
+                got = segment_store.read_segments(path, gids, lo, hi)
+                assert sorted(got, key=_segment_key) == want
+                if i < 2:
+                    scan = segment_scan(spark, path, gids, lo, hi)
+                    assert sorted((Segment(*r) for r in scan.collect()),
+                                  key=_segment_key) == want
+
+
 class TestStoreAndDataSource:
     def test_store_roundtrip(self, ds, grouped_meta, store):
         segs = list(segment_store.read_segments(store))
@@ -378,7 +471,7 @@ class TestStoreAndDataSource:
         write_store(segs, meta, path, n_workers=2)
         assert len(segment_store.list_files(path)) == 2
         (early,) = segment_store.list_files(path, max_start_time=4000)
-        assert {s.gid for s in segment_store.read_file(early)} == {1}
+        assert set(segment_store.read_file(early)["gid"].to_pylist()) == {1}
         reader = ModelarSegmentReader({"path": path,
                                        "max_start_time": "4000"})
         assert [p.value for p in reader.partitions()] == [[early]]
