@@ -23,6 +23,7 @@ import numpy as np
 
 #: Bytes of metadata per stored segment, by which GOLEMM costs segments:
 #: gid 4, end_time 8, si 4, size 4, mid 1, gaps 8 and a params offset 4.
+#: ``test_segment_store.py`` checks them against ``schema.FILE_SCHEMA``.
 HEADER_BYTES = 33
 #: Most series in one group: one bit each in the 64-bit gap mask (§III-C).
 MAX_GROUP_SIZE = 64

@@ -1,3 +1,3 @@
 """Segment storage (paper §III-C): the Segment row format, the `.mdb`
-files of zlib-compressed Arrow streams with their JSON footers, and the
+files of zlib-compressed Arrow columns with their JSON footers, and the
 ``modelardb`` DataSourceV2."""

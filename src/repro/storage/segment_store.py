@@ -9,9 +9,9 @@ directory::
       model.json            # Model table: mid → model-type name, checked
                             #   against the registry (check_models)
       segments/
-        part-00000.mdb      # zlib level 1 over the Arrow IPC stream of
+        part-00000.mdb      # zlib level 1 over the Arrow columns of
                             #   its schema.FILE_SCHEMA rows, in (gid,
-                            #   end_time, gaps) order
+                            #   end_time, gaps) order, and their count
         part-00000.json     # footer: count, Gids, min start_time,
                             #   max end_time
 
@@ -29,8 +29,7 @@ Each ``.mdb`` file is compressed whole with zlib at level 1, as the
 Cassandra stand-in compresses its chunks (``baselines/cassandra_sim.py``):
 Cassandra compresses its SSTables with LZ4, and zlib level 1 is in LZ4's
 ratio class.  The zlib stream's Adler-32 check makes a corrupted or
-truncated file raise on read, and ``schema.from_stream`` an Arrow stream
-cut short.
+truncated file raise on read, and ``schema.from_file_bytes`` a cut one.
 """
 from __future__ import annotations
 
@@ -46,7 +45,7 @@ import pyarrow as pa
 from ..core.model_types import by_mid, registered_mids
 from ..core.segment import Segment
 from ..dims.partitioner import partition_groups
-from .schema import from_stream, segment_columns, to_stream
+from .schema import from_file_bytes, segment_columns, to_file_bytes
 
 #: zlib level of the ``.mdb`` files: the Cassandra stand-in's level.
 ZLIB_LEVEL = 1
@@ -82,16 +81,14 @@ def write_store(segments: Sequence[Segment], meta: pd.DataFrame, path: str,
         rows = order[bounds[w]:bounds[w + 1]]
         base = os.path.join(path, "segments", f"part-{w:05d}")
         with open(base + ".mdb", "wb") as f:
-            f.write(zlib.compress(to_stream(
+            f.write(zlib.compress(to_file_bytes(
                 {name: c[rows] for name, c in cols.items()}), ZLIB_LEVEL))
-        footer = {
-            "count": len(rows),
-            "start_time_min": int(start[rows].min()) if len(rows) else 0,
-            "end_time_max": int(end[rows].max()) if len(rows) else 0,
-            "gids": np.unique(gid[rows]).tolist(),
-        }
+        some = len(rows) > 0
         with open(base + ".json", "w") as f:
-            json.dump(footer, f)
+            json.dump({"count": len(rows),
+                       "start_time_min": int(start[rows].min()) if some else 0,
+                       "end_time_max": int(end[rows].max()) if some else 0,
+                       "gids": np.unique(gid[rows]).tolist()}, f)
 
 
 def check_models(path: str) -> None:
@@ -110,12 +107,9 @@ def check_models(path: str) -> None:
 
 def store_bytes(path: str) -> int:
     """Total segment storage footprint (the compression metric of §VII)."""
-    total = 0
     seg_dir = os.path.join(path, "segments")
-    for name in os.listdir(seg_dir):
-        if name.endswith(".mdb"):
-            total += os.path.getsize(os.path.join(seg_dir, name))
-    return total
+    return sum(os.path.getsize(os.path.join(seg_dir, name))
+               for name in os.listdir(seg_dir) if name.endswith(".mdb"))
 
 
 def list_footers(path: str, gids: Optional[Sequence[int]] = None,
@@ -131,17 +125,13 @@ def list_footers(path: str, gids: Optional[Sequence[int]] = None,
             continue
         with open(os.path.join(seg_dir, name[:-4] + ".json")) as f:
             footer = json.load(f)
-        if footer["count"] == 0:
-            continue
-        if gids is not None and not (set(gids) & set(footer["gids"])):
-            continue
-        if (min_end_time is not None
-                and footer["end_time_max"] < min_end_time):
-            continue
-        if (max_start_time is not None
-                and footer["start_time_min"] > max_start_time):
-            continue
-        out.append((os.path.join(seg_dir, name), footer))
+        if (footer["count"]
+                and (gids is None or set(gids) & set(footer["gids"]))
+                and (min_end_time is None
+                     or footer["end_time_max"] >= min_end_time)
+                and (max_start_time is None
+                     or footer["start_time_min"] <= max_start_time)):
+            out.append((os.path.join(seg_dir, name), footer))
     return out
 
 
@@ -159,14 +149,13 @@ def read_file(fname: str, gids: Optional[Sequence[int]] = None,
     """The Segment table rows of one ``.mdb`` file that match the
     predicates; a corrupted or truncated file raises ``zlib.error`` or
     ``ValueError``."""
-    with open(fname, "rb") as f:
-        raw = f.read()
     inflate = zlib.decompressobj()
-    data = inflate.decompress(raw)
+    with open(fname, "rb") as f:
+        data = inflate.decompress(f.read())
     if not inflate.eof or inflate.unused_data:
         raise ValueError(f"{fname}: truncated, or bytes after its zlib "
                          "stream")
-    table = from_stream(data)
+    table = from_file_bytes(data)
     keep = np.ones(table.num_rows, bool)
     if gids is not None:
         keep &= np.isin(table.column("gid").to_numpy(), list(gids))

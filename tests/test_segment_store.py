@@ -10,14 +10,16 @@ import pyarrow as pa
 import pytest
 
 from repro.core.segment import HEADER_BYTES, Segment
-from repro.experiments import actual_avg_error_pct, reconstruct_points
+from repro.experiments import (actual_avg_error_pct, reconstruct_points,
+                               segments_bytes)
 from repro.core.ingest import ingest_local, pivot_group
 from repro.core.model_types import MID_PMC_MEAN
 from repro.datasets import ep_like
 from repro.dims.grouping import singleton_groups
 from repro.storage import segment_store
-from repro.storage.schema import (FILE_SCHEMA, from_stream, segment_columns,
-                                  to_stream)
+from repro.storage.schema import (FILE_SCHEMA, SEGMENT_SCHEMA,
+                                  from_file_bytes, segment_columns,
+                                  to_file_bytes)
 
 
 def seg(gid=1, start=0, si=100, size=5, mid=MID_PMC_MEAN, gaps=0,
@@ -45,9 +47,9 @@ class TestSegmentBinary:
         return list(segment_store.read_segments(path))
 
     @staticmethod
-    def rewrite_stream(tmp_path, edit):
-        """A one-file store whose Arrow stream is ``edit``ed, then
-        compressed again into a valid zlib stream."""
+    def rewrite_file(tmp_path, edit):
+        """A one-file store of two segments whose inflated bytes are
+        ``edit``ed, then compressed again into a valid zlib stream."""
         segs = [seg(gid=1), seg(gid=2)]
         path = str(tmp_path / "store")
         segment_store.write_store(segs, meta_of(segs), path, n_workers=1)
@@ -55,7 +57,7 @@ class TestSegmentBinary:
         with open(fname, "rb") as f:
             data = zlib.decompress(f.read())
         with open(fname, "wb") as f:
-            f.write(zlib.compress(edit(data)))
+            f.write(zlib.compress(edit(bytearray(data))))
         return path
 
     def test_pack_unpack_roundtrip(self, tmp_path):
@@ -75,6 +77,9 @@ class TestSegmentBinary:
         assert HEADER_BYTES == 4 + sum(
             f.type.bit_width // 8 for f in FILE_SCHEMA
             if not pa.types.is_binary(f.type))
+        # A file adds its row count and its first params offset.
+        assert len(to_file_bytes(segment_columns([s, s]))) == (
+            8 + 2 * s.byte_size)
 
     def test_large_gaps_bitmask(self, tmp_path):
         s = seg(gaps=(1 << 63) | 0b101)
@@ -87,9 +92,11 @@ class TestSegmentBinary:
                                       [1000, 1250, 1500, 1750])
 
     def test_empty_pack(self, tmp_path):
-        """An empty file is the schema alone, and reads as no rows."""
+        """An empty file is its row count 0 and its first params offset
+        0, and reads as no rows."""
         assert self.roundtrip([], tmp_path) == []
         fname = tmp_path / "store" / "segments" / "part-00000.mdb"
+        assert zlib.decompress(fname.read_bytes()) == bytes(8)
         table = segment_store.read_file(str(fname))
         assert table.num_rows == 0
         assert table.schema.names == [
@@ -98,29 +105,33 @@ class TestSegmentBinary:
 
     @pytest.mark.parametrize("cut", [1, 4, HEADER_BYTES + 3])
     def test_unpack_rejects_truncated_record(self, tmp_path, cut):
-        """A valid zlib stream over an Arrow stream that ends early: in
-        its 8-byte end marker, or inside its record batch."""
-        path = self.rewrite_stream(tmp_path, lambda data: data[:-cut])
-        with pytest.raises(ValueError):
+        """A valid zlib stream over a file that ends early: in the last
+        segment's parameters, or in the fixed-width columns."""
+        path = self.rewrite_file(tmp_path, lambda data: data[:-cut])
+        left = 8 + 2 * (HEADER_BYTES + 4) - cut
+        with pytest.raises(ValueError, match=f"^{left} bytes are not a "
+                           "whole segment file of 2 rows$"):
             list(segment_store.read_segments(path))
 
-    def test_unpack_rejects_every_cut_of_the_stream(self):
-        """Arrow raises ``OSError`` for some cuts, and reads a cut between
-        two messages as a shorter stream without error."""
-        data = to_stream(segment_columns([seg(gid=1), seg(gid=2)]))
+    def test_unpack_rejects_every_cut_of_the_file(self):
+        data = to_file_bytes(segment_columns([seg(gid=1), seg(gid=2)]))
         for bad in (*(data[:cut] for cut in range(len(data))),
                     data + b"\0"):
-            with pytest.raises(ValueError):
-                from_stream(bad)
-        assert from_stream(data).num_rows == 2
+            with pytest.raises(ValueError, match="^{} bytes are not a "
+                               "whole segment file ".format(len(bad))):
+                from_file_bytes(bad)
+        assert from_file_bytes(data).num_rows == 2
 
-    def test_unpack_rejects_another_schema(self, tmp_path):
-        sink = pa.BufferOutputStream()
-        with pa.ipc.new_stream(sink, pa.schema([("gid", pa.int64())])) as w:
-            w.write_batch(pa.record_batch([pa.array([1, 2])], ["gid"]))
-        path = self.rewrite_stream(
-            tmp_path, lambda _: sink.getvalue().to_pybytes())
-        with pytest.raises(ValueError, match="schema"):
+    def test_unpack_rejects_params_offsets_out_of_order(self, tmp_path):
+        """Offsets 0, 9, 8 have the right length, but the first segment's
+        parameters would end after the second's."""
+        def edit(data):
+            at = 8 + 2 * (HEADER_BYTES - 4)  # the middle of 3 offsets
+            data[at:at + 4] = (9).to_bytes(4, "little")
+            return bytes(data)
+
+        path = self.rewrite_file(tmp_path, edit)
+        with pytest.raises(ValueError, match="[Oo]ffset"):
             list(segment_store.read_segments(path))
 
     def test_pack_rejects_inconsistent_start_time(self, tmp_path):
@@ -157,9 +168,10 @@ class TestStoreLayout:
         assert len(files) == 3
 
     def test_files_are_zlib_packed_segments(self, store):
-        # Each file inflates to the Arrow stream of its segments' stored
-        # columns in key order, and zlib shrinks it; store_bytes counts
-        # the compressed files.
+        # Each file inflates to exactly to_file_bytes() of its segments
+        # in key order, 8 bytes more than their logical bytes, and reads
+        # back as their stored columns; store_bytes counts the
+        # compressed files.
         path, segs, _ = store
         seg_dir = os.path.join(path, "segments")
         total, n_stored = 0, 0
@@ -172,17 +184,18 @@ class TestStoreLayout:
                           key=lambda s: (s.gid, s.end_time, s.gaps))
             with open(os.path.join(seg_dir, name), "rb") as f:
                 raw = f.read()
-            stream = zlib.decompress(raw)
-            stored = pa.ipc.open_stream(stream).read_all()
             want = segment_columns(mine)
-            assert stored.schema == FILE_SCHEMA
+            data = zlib.decompress(raw)
+            assert data == to_file_bytes(want)
+            assert len(data) == 8 + segments_bytes(mine)
+            stored = from_file_bytes(data)
             assert stored.to_pydict() == {n: want[n].tolist()
-                                          for n in FILE_SCHEMA.names}
-            assert len(raw) < len(stream)
+                                          for n in SEGMENT_SCHEMA.names}
             total += len(raw)
             n_stored += len(mine)
         assert n_stored == len(segs)
         assert segment_store.store_bytes(path) == total
+        assert total < segments_bytes(segs)
 
     def test_corrupted_file_raises(self, store):
         # A cut, an appended byte, and each one-byte flip of a whole file.
